@@ -258,7 +258,7 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         for lk in (
             direct_session._index_lock,
             direct_session._memo_lock,
-            direct_session._update_cv,
+            direct_session._update_gate._cv,
         )
     ) and isinstance(direct_session._memo_lock, type(_threading.Lock()))
     sani_session = QuerySession(dataset, granularity=granularity)

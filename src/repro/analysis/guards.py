@@ -31,15 +31,16 @@ from .core import SourceFile
 #: A lock class absent from this tuple is unranked: only cycle
 #: detection applies to it.
 LOCK_ORDER: Tuple[str, ...] = (
-    "ShardRouter._ipc",          # lock-order: 0 -- serializes scatters; held across worker dispatch (outermost)
-    "ShardRouter._lock",         # lock-order: 1 -- router mirror/journal state; held around facade reads
-    "RegionService._lock",       # lock-order: 2 -- facade registry/health; holds no other lock
-    "SessionPool._lock",         # lock-order: 3 -- eviction clears caches, info() reads WAL state
-    "QuerySession._update_cv",   # lock-order: 4 -- update-gate bookkeeping
-    "QuerySession._index_lock",  # lock-order: 5 -- single-shot index build
-    "QuerySession._memo_lock",   # lock-order: 6 -- cache / pin / in-flight tables
-    "WriteAheadLog._lock",       # lock-order: 7 -- log handle and counters
-    "BufferPool._lock",          # lock-order: 8 -- scratch free lists (innermost)
+    "ShardRouter._gate",           # lock-order: 0 -- router query/mutation gate; a fan-out runs inside it (outermost)
+    "ShardRouter._lock",           # lock-order: 1 -- router mirror/journal state; held around facade reads
+    "ProcessShardBackend._pipe",   # lock-order: 2 -- one request/response on a worker pipe; holds no other lock
+    "RegionService._lock",         # lock-order: 3 -- facade registry/health; holds no other lock
+    "SessionPool._lock",           # lock-order: 4 -- eviction clears caches, info() reads WAL state
+    "QuerySession._update_gate",   # lock-order: 5 -- update-gate bookkeeping
+    "QuerySession._index_lock",    # lock-order: 6 -- single-shot index build
+    "QuerySession._memo_lock",     # lock-order: 7 -- cache / pin / in-flight tables
+    "WriteAheadLog._lock",         # lock-order: 8 -- log handle and counters
+    "BufferPool._lock",            # lock-order: 9 -- scratch free lists (innermost)
 )
 
 #: ``LOCK_ORDER`` as name -> rank, for O(1) comparisons.

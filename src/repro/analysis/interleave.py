@@ -223,6 +223,10 @@ class Interleaver:
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
             self._errors.append((index, exc))
         finally:
+            # Forget the id: once this thread exits, the OS may hand it
+            # to a thread no task manages (a router scatter thread, say),
+            # which must not park at yield points nobody schedules.
+            del self._go[tid]
             self._finished[tid] = True
             self._control.set()
 

@@ -350,7 +350,7 @@ class TrackedCondition(_TrackedBase):
 
 
 # ----------------------------------------------------------------------
-# Construction seams (the five locked modules call these)
+# Construction seams (the locked modules call these)
 # ----------------------------------------------------------------------
 def make_lock(name: str) -> Any:
     """A ``threading.Lock`` -- tracked under ``name`` when armed."""

@@ -129,17 +129,24 @@ def weekend_query(
 ) -> ASRSQuery:
     """The paper's F1 query: find the most weekend-heavy region.
 
-    The target representation is ``(0, 0, 0, 0, 0, T6, T7)`` with T6/T7
-    the maximum Saturday/Sunday tweet counts a region of the query size
-    can hold (estimated aspirationally; see
-    :func:`regional_max_estimate`), and weights ``(1/5, ..., 1/2, 1/2)``.
+    The target representation is 0 on the weekdays and, on ``Sat`` and
+    ``Sun``, the maximum Saturday/Sunday tweet counts a region of the
+    query size can hold (estimated aspirationally; see
+    :func:`regional_max_estimate`); weights are 1/5 on the weekdays and
+    1/2 on the weekend.  Days are looked up by name in the schema's
+    domain, so a CSV-loaded dataset (whose inferred domain is sorted:
+    ``Fri, Mon, Sat, ...``) gets the same query as a generated one
+    (``DAYS`` order: ``(0, 0, 0, 0, 0, T6, T7)``).
     """
     agg = weekend_aggregator()
+    domain = dataset.schema.categorical("day_of_week").domain
     codes = dataset.column("day_of_week")
-    targets = [
-        regional_max_estimate(dataset, codes == day, width, height, margin=margin)
-        for day in (5, 6)
-    ]
-    target_rep = np.array([0.0] * 5 + targets)
-    weights = np.array([1 / 5] * 5 + [1 / 2] * 2)
+    target_rep = np.zeros(len(domain))
+    weights = np.full(len(domain), 1 / 5)
+    for day in ("Sat", "Sun"):
+        code = domain.index(day)
+        target_rep[code] = regional_max_estimate(
+            dataset, codes == code, width, height, margin=margin
+        )
+        weights[code] = 1 / 2
     return ASRSQuery.from_vector(width, height, agg, target_rep, weights=weights)

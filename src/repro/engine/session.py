@@ -46,12 +46,11 @@ lock-guarded :class:`~repro.dssearch.grid.BufferPool`.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.sanitizer import make_condition, make_lock, sanitize_class
+from ..analysis.sanitizer import make_lock, sanitize_class
 from ..asp.rectset import RectSet
 from ..asp.reduction import reduce_to_asp
 from ..core.aggregators import (
@@ -76,6 +75,7 @@ from ..index.gids import (
     gi_ds_search,
 )
 from ..index.grid_index import GridIndex
+from .gate import SharedExclusiveGate
 
 if TYPE_CHECKING:  # circular at runtime: updates.py/wal.py import sessions
     from .updates import UpdateStats
@@ -310,51 +310,12 @@ class QuerySession:
         self._index_lock = make_lock("QuerySession._index_lock")
         self._memo_lock = make_lock("QuerySession._memo_lock")
         self._inflight: Dict[tuple, threading.Event] = {}  # guarded-by: _memo_lock
-        # Update gate (DESIGN.md §9): solves/warms hold a shared token;
-        # apply/append/delete take the gate exclusively -- they wait for
+        # Update gate (DESIGN.md §9): solves/warms hold it shared;
+        # apply/append/delete -- and RegionService.compact while it
+        # rewrites the log -- hold it exclusively: they wait for
         # in-flight solves to drain and block new ones, so a solve sees
         # either the pre- or the post-update session, never a mix.
-        self._update_cv = make_condition("QuerySession._update_cv")
-        self._active_solves = 0  # guarded-by: _update_cv
-        self._updating = False  # guarded-by: _update_cv
-
-    @contextmanager
-    def _solve_gate(self):
-        """Shared side of the update gate (held for a whole solve)."""
-        with self._update_cv:
-            while self._updating:
-                self._update_cv.wait()
-            self._active_solves += 1
-        try:
-            yield
-        finally:
-            with self._update_cv:
-                self._active_solves -= 1
-                if self._active_solves == 0:
-                    self._update_cv.notify_all()
-
-    @contextmanager
-    def _exclusive_gate(self):
-        """Exclusive side of the update gate (drains in-flight solves).
-
-        Held by ``apply``/``append``/``delete`` for the whole mutation,
-        and by :meth:`repro.service.RegionService.compact` while it
-        rewrites the session's write-ahead log and re-aligns the epoch:
-        anything run under this gate observes no concurrent solve and
-        admits none until it exits.
-        """
-        with self._update_cv:
-            while self._updating:
-                self._update_cv.wait()
-            self._updating = True
-            while self._active_solves:
-                self._update_cv.wait()
-        try:
-            yield
-        finally:
-            with self._update_cv:
-                self._updating = False
-                self._update_cv.notify_all()
+        self._update_gate = SharedExclusiveGate("QuerySession._update_gate")
 
     # ------------------------------------------------------------------
     # Memoization machinery
@@ -549,7 +510,7 @@ class QuerySession:
         search.  This is also what ``repro index-build`` persists via
         :func:`~repro.engine.persist.save_session`.
         """
-        with self._solve_gate():
+        with self._update_gate.shared():
             compiler = self.compiler_for(aggregator)
             self.empty_rep_for(aggregator)
             if self.dataset.n:
@@ -614,7 +575,7 @@ class QuerySession:
         """
         if method not in ("gids", "ds"):
             raise ValueError(f"method must be 'gids' or 'ds', got {method!r}")
-        with self._solve_gate():
+        with self._update_gate.shared():
             return self._solve_gated(
                 query, method, delta, probe_cells, return_stats
             )
@@ -636,7 +597,7 @@ class QuerySession:
         """
         if method not in ("gids", "ds"):
             raise ValueError(f"method must be 'gids' or 'ds', got {method!r}")
-        with self._solve_gate():
+        with self._update_gate.shared():
             return (
                 self._solve_gated(query, method, delta, probe_cells, return_stats),
                 self.epoch,
@@ -737,7 +698,7 @@ class QuerySession:
         ``seed_point`` overrides the empty-region seed (a shard passes
         the router-computed global seed).
         """
-        with self._solve_gate():
+        with self._update_gate.shared():
             return canonical.solve_canonical(
                 lambda: self._engine(query, 0.0),
                 lambda: self._engine(
@@ -758,7 +719,7 @@ class QuerySession:
         seed_point: tuple | None = None,
     ) -> tuple:
         """:meth:`solve_canonical` plus the epoch it was computed at."""
-        with self._solve_gate():
+        with self._update_gate.shared():
             return (
                 canonical.solve_canonical(
                     lambda: self._engine(query, 0.0),
@@ -783,7 +744,7 @@ class QuerySession:
         """Canonical top-k: every round answered canonically, so the
         whole result list is decomposition-independent (the per-round
         exclusion holes derive from canonical answers)."""
-        with self._solve_gate():
+        with self._update_gate.shared():
             return canonical.solve_canonical_topk(
                 lambda: self._engine(query, 0.0),
                 lambda: self._engine(

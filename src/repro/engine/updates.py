@@ -135,7 +135,7 @@ def apply_update(
     bitwise-identical either way (benchmarks use it as the baseline).
     Returns an :class:`UpdateStats`.
     """
-    with session._exclusive_gate():
+    with session._update_gate.exclusive():
         return _apply_exclusive(
             session, batch, log=log, delta_lattice=delta_lattice
         )

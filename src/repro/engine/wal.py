@@ -974,7 +974,7 @@ def replay(
             # Under the exclusive gate: a replica may be serving while
             # it replays, and an in-flight solve_with_epoch must never
             # observe the post-merge dataset with the pre-merge label.
-            with session._exclusive_gate():
+            with session._update_gate.exclusive():
                 session.epoch = base_epoch + span
     stats.final_epoch = session.epoch
     return stats

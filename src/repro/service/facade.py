@@ -460,7 +460,7 @@ class RegionService:
         # ds_search_topk runs outside QuerySession.solve, so take the
         # shared update gate here: the search must not race a dataset
         # swap, and the epoch label must match what it actually ran on.
-        with session._solve_gate():
+        with session._update_gate.shared():
             epoch = session.epoch
             results = ds_search_topk(
                 session.dataset, q, request.topk, session.settings
@@ -550,7 +550,7 @@ class RegionService:
         session = self.session(key)
         from ..dssearch.maxrs import max_rs_ds
 
-        with session._solve_gate():
+        with session._update_gate.shared():
             epoch = session.epoch
             result = max_rs_ds(session.dataset, width, height)
         return RegionResult.from_engine(
@@ -721,7 +721,7 @@ class RegionService:
         # covers but the CSV does not -- the checkpoint would then
         # truncate the only durable copy of that update.
         try:
-            with session._exclusive_gate():
+            with session._update_gate.exclusive():
                 faults.failpoint(FP_CHECKPOINT_PRE_CSV)
                 save_csv(session.dataset, spec.data)
                 wal = session.wal
@@ -772,7 +772,7 @@ class RegionService:
         if wal is None:
             raise ValueError(f"dataset {key!r} has no write-ahead log to compact")
         try:
-            with session._exclusive_gate():
+            with session._update_gate.exclusive():
                 faults.failpoint(FP_COMPACT_PRE_REWRITE)
                 cstats = wal.compact(session.dataset.schema)
         except Exception as exc:

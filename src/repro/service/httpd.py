@@ -159,6 +159,10 @@ class RegionServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a write never waits for the client to acknowledge
+    # the previous one (stdlib paths such as send_error still write
+    # headers and body separately).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> RegionService:
@@ -187,8 +191,12 @@ class _Handler(BaseHTTPRequestHandler):
             # connection we are about to drop.
             self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        # One write for status line, headers and body (end_headers()
+        # would flush the headers alone): split writes cost a second
+        # segment, and with Nagle on the body waits for the client's
+        # delayed ACK of the headers (DESIGN.md §11.5).
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)

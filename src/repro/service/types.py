@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -468,20 +468,28 @@ class RegionResult:
 
 
 def _stats_dict(stats: Any) -> dict | None:
-    """Search stats as a JSON-safe dict (numpy scalars unwrapped)."""
+    """Search stats as a JSON-safe dict, nested counters included.
+
+    Nested dicts and dataclasses (a GI-DS solve's ``search`` counters)
+    are encoded recursively; numpy scalars are unwrapped and floats go
+    through the non-finite sentinels.  Values of any other type are
+    dropped.
+    """
     if stats is None:
         return None
     out: dict = {}
     source = stats if isinstance(stats, dict) else vars(stats)
     for name, value in source.items():
-        if isinstance(value, (np.integer,)):
-            value = int(value)
-        elif isinstance(value, (np.floating,)):
-            value = float(value)
+        if isinstance(value, np.generic):
+            value = value.item()
         if isinstance(value, (int, bool, str)) or value is None:
             out[name] = value
         elif isinstance(value, float):
             out[name] = encode_float(value)
+        elif isinstance(value, dict) or (
+            is_dataclass(value) and not isinstance(value, type)
+        ):
+            out[name] = _stats_dict(value)
     return out
 
 

@@ -66,6 +66,7 @@ from .. import faults
 from ..analysis.sanitizer import make_lock, sanitize_class
 from ..core.geometry import Rect
 from ..dssearch.canonical import canonical_seed
+from ..engine.gate import SharedExclusiveGate
 from ..service.types import (
     CheckpointResult,
     CompactResult,
@@ -134,9 +135,12 @@ class ShardRouter:
         self._directory = directory
         self._base_data = base_data
         self._factory = _BACKENDS[backend]
-        # Serializes every fan-out (queries included): all shards are
-        # always observed at one router epoch.  Never holds _lock.
-        self._ipc = make_lock("ShardRouter._ipc")
+        # Queries fan out under the gate shared, so two of them run on
+        # the workers at once (each worker pipe carries one round trip
+        # at a time); update/checkpoint/compact/recover/close hold it
+        # exclusively.  Every query therefore observes all shards at one
+        # router epoch.
+        self._gate = SharedExclusiveGate("ShardRouter._gate")
         self._lock = make_lock("ShardRouter._lock")
         # The mirror: a plain in-memory binding -- gives us the typed
         # update path (row encoding identical to the workers'), the
@@ -255,7 +259,7 @@ class ShardRouter:
             )
 
     def _scatter(self, frames: Dict[int, dict]) -> Dict[int, dict]:
-        """Deliver ``frames`` concurrently; caller holds ``_ipc``."""
+        """Deliver ``frames`` concurrently; caller holds ``_gate``."""
         faults.failpoint(FP_ROUTER_SCATTER)
         if len(frames) == 1:
             ((shard, frame),) = frames.items()
@@ -273,8 +277,12 @@ class ShardRouter:
             t.join()
         return out
 
-    def _gate(self, verb: str) -> None:
-        """Refuse an operation the router cannot serve consistently."""
+    def _admit(self, verb: str) -> None:
+        """Refuse an operation the router cannot serve consistently.
+
+        Called inside ``_gate``: a batch left pending by an update that
+        held the gate exclusively is then seen by every later query.
+        """
         from ..service.facade import DatasetUnavailable
 
         with self._lock:
@@ -403,20 +411,19 @@ class ShardRouter:
         t0 = time.perf_counter()
         self._check_key(request.dataset)
         self._check_size(request)
-        self._gate("query")
-        with self._ipc:
-            result = self._scatter_solve(request, [])
-        return self._finish(result, t0)
+        with self._gate.shared():
+            self._admit("query")
+            return self._finish(self._scatter_solve(request, []), t0)
 
     def query_topk(self, request: QueryRequest) -> List[RegionResult]:
         """Exact top-k, one canonical scatter round per rank."""
         t0 = time.perf_counter()
         self._check_key(request.dataset)
         self._check_size(request)
-        self._gate("query")
         results: List[RegionResult] = []
         holes: List[Rect] = []
-        with self._ipc:
+        with self._gate.shared():
+            self._admit("query")
             for _ in range(request.topk):
                 result = self._scatter_solve(request, holes)
                 results.append(self._finish(result, t0))
@@ -446,34 +453,34 @@ class ShardRouter:
             self._check_size(request)
             if request.topk != 1:
                 raise ValueError("query_batch serves topk == 1 requests")
-        self._gate("query")
-        with self._lock:
-            dead = dict(self._dead)
-            blocked = [s for s in dead if len(self._shard_ids[s]) > 0]
-        if blocked:
-            raise self._unavailable(
-                blocked[0], dead[blocked[0]]["cause"], "query"
-            )
-        items = [self._solve_frame(r, []) for r in requests]
-        frames = {
-            shard: {"op": "query_batch", "items": items}
-            for shard in range(self.plan.n_shards)
-            if shard not in dead
-        }
-        with self._ipc:
-            responses = self._scatter(frames)
-        per_request: List[List[RegionResult]] = [[] for _ in requests]
-        for _shard in dead:
-            for i, request in enumerate(requests):
-                per_request[i].append(self._empty_answer(request, []))
-        for shard, response in responses.items():
-            if not response.get("ok"):
+        with self._gate.shared():
+            self._admit("query")
+            with self._lock:
+                dead = dict(self._dead)
+                blocked = [s for s in dead if len(self._shard_ids[s]) > 0]
+            if blocked:
                 raise self._unavailable(
-                    shard, response.get("error", "worker error"), "query"
+                    blocked[0], dead[blocked[0]]["cause"], "query"
                 )
-            for i, value in enumerate(response["value"]):
-                per_request[i].append(RegionResult.from_dict(value))
-        return [self._finish(_merge(group), t0) for group in per_request]
+            items = [self._solve_frame(r, []) for r in requests]
+            frames = {
+                shard: {"op": "query_batch", "items": items}
+                for shard in range(self.plan.n_shards)
+                if shard not in dead
+            }
+            responses = self._scatter(frames)
+            per_request: List[List[RegionResult]] = [[] for _ in requests]
+            for _shard in dead:
+                for i, request in enumerate(requests):
+                    per_request[i].append(self._empty_answer(request, []))
+            for shard, response in responses.items():
+                if not response.get("ok"):
+                    raise self._unavailable(
+                        shard, response.get("error", "worker error"), "query"
+                    )
+                for i, value in enumerate(response["value"]):
+                    per_request[i].append(RegionResult.from_dict(value))
+            return [self._finish(_merge(group), t0) for group in per_request]
 
     def _check_size(self, request: QueryRequest) -> None:
         if not self.plan.fits(request.width, request.height):
@@ -592,18 +599,17 @@ class ShardRouter:
                 "append_csv is not routed; expand the CSV to inline records"
             )
         self._check_key(request.dataset)
-        self._gate("update")
         from ..service.facade import DatasetUnavailable
 
-        with self._lock:
-            if self._dead:
-                shard = next(iter(self._dead))
-                raise self._unavailable(
-                    shard, self._dead[shard]["cause"], "update"
-                )
-            frames = self._split_update(request)
-        with self._ipc:
+        with self._gate.exclusive():
+            self._admit("update")
             with self._lock:
+                if self._dead:
+                    shard = next(iter(self._dead))
+                    raise self._unavailable(
+                        shard, self._dead[shard]["cause"], "update"
+                    )
+                frames = self._split_update(request)
                 self._pending = {
                     "request": request.to_dict(),
                     "remaining": dict(frames),
@@ -641,8 +647,8 @@ class ShardRouter:
     def checkpoint(self, key: str) -> CheckpointResult:
         """Checkpoint every shard, rewrite the base CSV, refresh the plan."""
         self._check_key(key)
-        self._gate("checkpoint")
-        with self._ipc:
+        with self._gate.exclusive():
+            self._admit("checkpoint")
             frames = {
                 s: {"op": "checkpoint"} for s in range(self.plan.n_shards)
             }
@@ -689,8 +695,8 @@ class ShardRouter:
     def compact(self, key: str) -> CompactResult:
         """Compact every shard WAL holding records."""
         self._check_key(key)
-        self._gate("compact")
-        with self._ipc:
+        with self._gate.exclusive():
+            self._admit("compact")
             with self._lock:
                 if self._dead:
                     shard = next(iter(self._dead))
@@ -746,7 +752,7 @@ class ShardRouter:
         if key is not None:
             self._check_key(key)
         restarted, resent, skipped = [], 0, 0
-        with self._ipc:
+        with self._gate.exclusive():
             with self._lock:
                 dead = sorted(self._dead)
                 pending = self._pending
@@ -888,33 +894,37 @@ class ShardRouter:
 
         Worker checkpoints happen inside the workers (their close-time
         durability policy), so there are no parent-side reports.
+        In-flight queries drain first; later ones refuse.
         """
-        with self._lock:
-            if self._closed:
-                return []
-            self._closed = True
-            pending = self._pending is not None
-        for back in self._backends:
-            try:
-                back.close()
-            except ShardDeadError:
-                pass
-        # Clean shutdown keeps the base CSV + plan fingerprint in step
-        # with the committed state (workers checkpoint their own CSVs
-        # under the close-time durability policy); with a batch still
-        # pending the base stays stale and reopen fails closed instead.
-        if not pending and self._base_data is not None:
-            from ..data.io import save_csv
+        with self._gate.exclusive():
+            with self._lock:
+                if self._closed:
+                    return []
+                self._closed = True
+                pending = self._pending is not None
+            for back in self._backends:
+                try:
+                    back.close()
+                except ShardDeadError:
+                    pass
+            # Clean shutdown keeps the base CSV + plan fingerprint in
+            # step with the committed state (workers checkpoint their
+            # own CSVs under the close-time durability policy); with a
+            # batch still pending the base stays stale and reopen fails
+            # closed instead.
+            if not pending and self._base_data is not None:
+                from ..data.io import save_csv
 
-            save_csv(self.dataset, self._base_data)
-            if self._directory is not None:
-                from ..engine.persist import dataset_fingerprint
+                save_csv(self.dataset, self._base_data)
+                if self._directory is not None:
+                    from ..engine.persist import dataset_fingerprint
 
-                self.plan = replace(
-                    self.plan, fingerprint=dataset_fingerprint(self.dataset)
-                )
-                self.plan.save(self._directory)
-        self._mirror.close()
+                    self.plan = replace(
+                        self.plan,
+                        fingerprint=dataset_fingerprint(self.dataset),
+                    )
+                    self.plan.save(self._directory)
+            self._mirror.close()
         return []
 
     def __enter__(self) -> "ShardRouter":

@@ -31,6 +31,7 @@ import struct
 from typing import Optional
 
 from .. import faults
+from ..analysis.sanitizer import make_lock
 from ..core.geometry import Rect
 from ..service.types import (
     QueryRequest,
@@ -239,9 +240,10 @@ class LocalShardBackend:
         self.ready = self.server.ready_payload()
 
     def request(self, frame: dict) -> dict:
-        if self.server is None:
+        server = self.server  # one read: kill() may race a request
+        if server is None:
             raise ShardDeadError("local shard backend is closed")
-        return self.server.handle(frame)
+        return server.handle(frame)
 
     def alive(self) -> bool:
         return self.server is not None
@@ -297,6 +299,9 @@ class ProcessShardBackend:
         ctx = multiprocessing.get_context("spawn")
         parent, child = socket.socketpair()
         self._sock = parent
+        # One request and its response on the pipe at a time: routed
+        # queries share the backend, and the worker answers in order.
+        self._pipe = make_lock("ProcessShardBackend._pipe")
         self.process = ctx.Process(
             target=worker_main,
             args=(child, plan.to_dict(), spec.to_dict(), shard),
@@ -312,8 +317,9 @@ class ProcessShardBackend:
             )
 
     def request(self, frame: dict) -> dict:
-        send_frame(self._sock, frame)
-        response = recv_frame(self._sock)
+        with self._pipe:
+            send_frame(self._sock, frame)
+            response = recv_frame(self._sock)
         if not isinstance(response, dict):
             raise ShardDeadError("shard worker sent a non-dict frame")
         return response

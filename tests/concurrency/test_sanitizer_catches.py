@@ -5,7 +5,7 @@ The mutation-sweep bar applied to the sanitizer itself: each class in
 write, lock-order inversion, missed condition signal), and each test
 pins a schedule under which the corresponding checker *must* fire.
 The guard-declaration completeness tests close the loop from the other
-side: deleting any ``# guarded-by:`` from the five instrumented
+side: deleting any ``# guarded-by:`` from the instrumented
 modules flips one of these red, even though lint alone would only see
 the accesses stop being checked.
 """
@@ -92,7 +92,7 @@ class TestRacyFixtures:
         assert signal.consumed
 
 
-#: Every ``# guarded-by:`` declaration the five instrumented modules
+#: Every ``# guarded-by:`` declaration the instrumented modules
 #: make, keyed by class.  Deleting a declaration (the acceptance-bar
 #: mutation) shrinks the parsed table and fails the matching test.
 EXPECTED_GUARDS = {
@@ -113,8 +113,10 @@ EXPECTED_GUARDS = {
     ("repro.engine.session", "QuerySession"): {
         "_pins": "_memo_lock",
         "_inflight": "_memo_lock",
-        "_active_solves": "_update_cv",
-        "_updating": "_update_cv",
+    },
+    ("repro.engine.gate", "SharedExclusiveGate"): {
+        "_shared": "_cv",
+        "_exclusive": "_cv",
     },
     ("repro.engine.wal", "WriteAheadLog"): {
         "_fh": "_lock",

@@ -7,6 +7,7 @@ compaction, a clean close, and a cold reopen from disk.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -210,6 +211,30 @@ class TestProcessBackend:
         ds2 = _apply(ds, upd)
         _assert_identical(ds2, router, REQ)
 
+        # Two threads query at once: both fan-outs share the workers
+        # (one round trip per pipe at a time) and stay bitwise.
+        other = dataclasses.replace(
+            REQ, width=5.0, height=9.5, target=(0.0, 2.0, 0.5, 1.0)
+        )
+        start = threading.Barrier(2)
+        answers = {}
+
+        def concurrent(name, request):
+            start.wait()
+            for _ in range(3):
+                answers.setdefault(name, []).append(_routed(router, request))
+
+        threads = [
+            threading.Thread(target=concurrent, args=(name, request))
+            for name, request in (("a", REQ), ("b", other))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert answers["a"] == [_oracle(ds2, REQ)] * 3
+        assert answers["b"] == [_oracle(ds2, other)] * 3
+
         # Kill a worker: health degrades and queries refuse loudly
         # (the dead shard holds rows, so partial answers would lie).
         router.kill(1)
@@ -223,6 +248,7 @@ class TestProcessBackend:
         assert out["restarted"] == ["shard001"]
         assert router.health()["state"] == "ok"
         _assert_identical(ds2, router, REQ)
+        _assert_identical(ds2, router, other)
 
         ck = router.checkpoint("default")
         assert ck.n == ds2.n

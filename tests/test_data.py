@@ -24,6 +24,7 @@ from repro.data import (
     weekend_aggregator,
     weekend_query,
 )
+from repro.data.io import load_csv_infer
 
 
 class TestSynthetic:
@@ -83,6 +84,25 @@ class TestTweets:
         assert q.query_rep[:5].tolist() == [0.0] * 5
         assert q.query_rep[5] > 0 and q.query_rep[6] > 0
         np.testing.assert_allclose(q.metric.weights, [0.2] * 5 + [0.5] * 2)
+
+    def test_weekend_query_finds_weekend_in_sorted_csv_domain(self, tmp_path):
+        ds = generate_tweet_dataset(3000, seed=4)
+        path = tmp_path / "tweets.csv"
+        save_csv(ds, path)
+        loaded = load_csv_infer(
+            path, categorical=("day_of_week",), numeric=("length",)
+        )
+        domain = loaded.schema.categorical("day_of_week").domain
+        assert domain == tuple(sorted(DAYS))  # Fri, Mon, Sat, Sun, ...
+        q = weekend_query(loaded, 0.5, 0.5)
+        generated = weekend_query(ds, 0.5, 0.5)
+        for day in DAYS:
+            code = domain.index(day)
+            want = generated.query_rep[DAYS.index(day)]
+            assert q.query_rep[code] == want
+            assert q.metric.weights[code] == (0.5 if day in ("Sat", "Sun") else 0.2)
+        assert q.query_rep[domain.index("Sat")] > 0
+        assert q.query_rep[domain.index("Sun")] > 0
 
     def test_aggregator_dim(self):
         ds = generate_tweet_dataset(100, seed=0)

@@ -363,6 +363,92 @@ class TestHostileClients:
             self._teardown(server, thread)
 
 
+class _CountingSocket:
+    """An accepted connection that records the size of every write."""
+
+    def __init__(self, sock, writes):
+        self._sock = sock
+        self._writes = writes
+
+    def send(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.send(data, *args)
+
+    def sendall(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestSingleWriteResponses:
+    """Each response leaves in one write on a TCP_NODELAY socket: a
+    split header/body write makes the body wait for the client's
+    delayed ACK (about 40 ms on Linux) on every keep-alive request."""
+
+    def test_one_write_per_response_and_no_ack_stall(self, tmp_path):
+        import http.client
+        import time
+
+        rng = np.random.default_rng(65)
+        ds = make_random_dataset(rng, 60, extent=90.0)
+        data = tmp_path / "d.csv"
+        save_csv(ds, data)
+        service = RegionService()
+        service.open(
+            DatasetSpec(key="d", data=str(data), categorical=("kind",),
+                        numeric=("score",))
+        )
+        server = make_server(service, max_body_bytes=1024)
+        writes, accepted = [], []
+        accept = server.get_request
+
+        def counting_accept():
+            sock, addr = accept()
+            accepted.append(sock)
+            return _CountingSocket(sock, writes), addr
+
+        server.get_request = counting_accept
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+
+        def exchange(method, path, payload=None):
+            before = len(writes)
+            body = None if payload is None else json.dumps(payload).encode()
+            conn.request(method, path, body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            response.read()
+            return response.status, len(writes) - before
+
+        try:
+            assert exchange("POST", "/query", _query_payload(ds)) == (200, 1)
+            assert exchange("GET", "/nope") == (404, 1)
+            assert exchange("POST", "/query", {"terms": []}) == (400, 1)
+            # Keep-alive: five health checks on one connection, none
+            # waiting out a delayed ACK.
+            for _ in range(5):
+                t0 = time.perf_counter()
+                assert exchange("GET", "/healthz") == (200, 1)
+                assert time.perf_counter() - t0 < 0.02
+            assert len(accepted) == 1
+            nodelay = accepted[0].getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            assert nodelay != 0
+            # The 413 close path: still one write, then the hang-up.
+            big = {"dataset": "d", "junk": "x" * 2048}
+            assert exchange("POST", "/query", big) == (413, 1)
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+
 class _RefreshStub:
     """Stands in for RegionService in WalFollower unit tests."""
 

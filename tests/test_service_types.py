@@ -2,9 +2,16 @@
 
 import json
 import math
+import threading
+import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.core.geometry import Rect
+from repro.core.query import RegionResult as EngineResult
+from repro.data.io import save_csv
+from repro.index.gids import GIDSStats
 from repro.service import (
     CheckpointResult,
     CompactResult,
@@ -13,11 +20,15 @@ from repro.service import (
     OpenResult,
     QueryRequest,
     RegionResult,
+    RegionService,
     UpdateRequest,
     UpdateResult,
     decode_float,
     encode_float,
 )
+from repro.service.httpd import make_server
+
+from .conftest import make_random_dataset
 
 
 def json_roundtrip(document: dict) -> dict:
@@ -76,6 +87,60 @@ class TestRegionResultCodec:
         result = RegionResult(region=(0, 0, 1, 1), score=1.0)
         back = RegionResult.from_dict(json_roundtrip(result.to_dict()))
         assert back.representation is None
+
+
+class TestStatsCodec:
+    def test_nested_counters_survive_strict_json(self):
+        stats = GIDSStats(
+            total_cells=64,
+            searched_cells=9,
+            search={"spaces_processed": 5, "extra": {"bound": math.inf}},
+        )
+        engine_result = EngineResult(Rect(0.0, 0.0, 1.0, 1.0), 0.5)
+        result = RegionResult.from_engine(
+            engine_result, epoch=0, elapsed_s=0.0, stats=stats
+        )
+        back = RegionResult.from_dict(json_roundtrip(result.to_dict()))
+        assert back.stats["searched_cells"] == 9
+        assert back.stats["search"]["spaces_processed"] == 5
+        assert decode_float(back.stats["search"]["extra"]["bound"]) == math.inf
+
+    def test_query_include_stats_carries_search_counters(self, tmp_path):
+        # /query encodes the facade's result with the same codec: the
+        # GI-DS solve's nested ``search`` counters must reach the client.
+        ds = make_random_dataset(np.random.default_rng(66), 60, extent=90.0)
+        save_csv(ds, tmp_path / "d.csv")
+        service = RegionService()
+        service.open(
+            DatasetSpec(key="d", data=str(tmp_path / "d.csv"),
+                        categorical=("kind",), numeric=("score",))
+        )
+        request = QueryRequest(
+            dataset="d", terms=("fD:kind", "fS:score"), width=12.0,
+            height=9.0, target=(1.0, 2.0, 0.5, 3.0), include_stats=True,
+        )
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            with urllib.request.urlopen(
+                urllib.request.Request(
+                    f"http://{host}:{port}/query",
+                    data=json.dumps(request.to_dict()).encode(),
+                    headers={"Content-Type": "application/json"},
+                ),
+                timeout=30,
+            ) as response:
+                result = RegionResult.from_dict(json.loads(response.read()))
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        search = result.stats["search"]
+        assert search["spaces_processed"] >= 1
+        assert isinstance(search["candidate_points_evaluated"], int)
+        assert result.stats["searched_cells"] >= 1
 
 
 class TestRequestCodecs:
