@@ -26,13 +26,21 @@ def save_csv(dataset: SpatialDataset, path: str | Path) -> None:
     :func:`~repro.core.atomicio.replace_atomically` sequence as
     :func:`~repro.engine.persist.save_session`.
     """
-    names = dataset.schema.names
+    schema = dataset.schema
+    # .tolist() yields Python floats and the domain values themselves,
+    # never numpy scalars: csv.writer formats those as repr() / str(),
+    # which is what keeps the file's bytes stable.
+    columns = [dataset.xs.tolist(), dataset.ys.tolist()]
+    for attr in schema:
+        column = dataset.column(attr.name).tolist()
+        if isinstance(attr, CategoricalAttribute):
+            column = attr.decode(column)
+        columns.append(column)
 
     def write(fh) -> None:
         writer = csv.writer(fh)
-        writer.writerow(["x", "y", *names])
-        for obj in dataset:
-            writer.writerow([obj.x, obj.y, *(obj.attributes[n] for n in names)])
+        writer.writerow(["x", "y", *schema.names])
+        writer.writerows(zip(*columns))
 
     replace_atomically(path, write, text=True, newline="")
 

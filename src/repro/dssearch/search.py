@@ -107,6 +107,9 @@ class SearchStats:
     max_depth_seen: int = 0
     candidate_points_evaluated: int = 0
     incumbent_updates: int = 0
+    #: region-semantics re-evaluations (:meth:`DSSearchEngine.true_distance`),
+    #: canonical pass-2 tie checks included
+    verified_candidates: int = 0
     extra: dict = field(default_factory=dict)
 
 
@@ -211,6 +214,7 @@ class DSSearchEngine:
         where the rounding in ``fl(x + a)`` vs ``fl(o.x - a)`` can
         disagree about the boundary object.
         """
+        self.stats.verified_candidates += 1
         region = region_for_point(x, y, self.query.width, self.query.height)
         mask = self.dataset.mask_in_region(region)
         return self.query.distance_to(self.compiler.rep_from_mask(mask))

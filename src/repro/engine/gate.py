@@ -1,10 +1,10 @@
 """The shared/exclusive gate: readers run together, a mutation runs alone.
 
 Two layers hold their readers and writers apart the same way: a
-:class:`~repro.engine.session.QuerySession` (solves vs. ``apply`` and
-log compaction, DESIGN.md §9.3) and the shard router (routed queries
-vs. ``update``/``checkpoint``/``compact``/``recover``/``close``,
-DESIGN.md §15.7).  Whatever runs under :meth:`SharedExclusiveGate.exclusive`
+:class:`~repro.engine.session.QuerySession` (solves and the facade's
+checkpoint/compaction vs. ``apply``, DESIGN.md §9.3) and the shard
+router (routed queries vs. ``update``/``checkpoint``/``compact``/
+``recover``/``close``, DESIGN.md §15.7).  Whatever runs under :meth:`SharedExclusiveGate.exclusive`
 observes no concurrent shared holder and admits none until it exits, so
 a reader sees one consistent state, never a mix.
 

@@ -310,11 +310,12 @@ class QuerySession:
         self._index_lock = make_lock("QuerySession._index_lock")
         self._memo_lock = make_lock("QuerySession._memo_lock")
         self._inflight: Dict[tuple, threading.Event] = {}  # guarded-by: _memo_lock
-        # Update gate (DESIGN.md §9): solves/warms hold it shared;
-        # apply/append/delete -- and RegionService.compact while it
-        # rewrites the log -- hold it exclusively: they wait for
-        # in-flight solves to drain and block new ones, so a solve sees
-        # either the pre- or the post-update session, never a mix.
+        # Update gate (DESIGN.md §9.3): solves/warms -- and the
+        # facade's checkpoint/compact/persist, which must only keep
+        # updates out -- hold it shared; apply/append/delete hold it
+        # exclusively: they wait for in-flight holders to drain and
+        # block new ones, so a solve sees either the pre- or the
+        # post-update session, never a mix.
         self._update_gate = SharedExclusiveGate("QuerySession._update_gate")
 
     # ------------------------------------------------------------------

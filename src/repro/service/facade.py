@@ -715,15 +715,19 @@ class RegionService:
             )
         from ..data.io import save_csv
 
-        # The whole CSV -> bundle -> WAL-truncate sequence runs under the
-        # session's exclusive gate: a concurrent update landing between
-        # the CSV write and the bundle save would log a record the bundle
-        # covers but the CSV does not -- the checkpoint would then
-        # truncate the only durable copy of that update.
+        # The whole CSV -> bundle -> WAL-truncate sequence holds the
+        # session's gate *shared* (DESIGN.md §11.3): an update landing
+        # between the CSV write and the bundle save would log a record
+        # the bundle covers but the CSV does not -- the checkpoint would
+        # then truncate the only durable copy of that update.  Updates
+        # take the exclusive side, so a shared hold keeps them out for
+        # the whole sequence, while queries -- which never read the log
+        # or the files -- keep running beside it.
         try:
-            with session._update_gate.exclusive():
+            with session._update_gate.shared():
                 faults.failpoint(FP_CHECKPOINT_PRE_CSV)
-                save_csv(session.dataset, spec.data)
+                dataset, epoch = session.dataset, session.epoch
+                save_csv(dataset, spec.data)
                 wal = session.wal
                 before = wal.state()["records"] if wal is not None else 0
                 faults.failpoint(FP_CHECKPOINT_PRE_BUNDLE)
@@ -731,7 +735,7 @@ class RegionService:
                 after = wal.state()["records"] if wal is not None else 0
                 with self._lock:
                     # The on-disk baseline now reflects the live session.
-                    self._baselines[key] = session.dataset
+                    self._baselines[key] = dataset
         except Exception as exc:
             # Whatever broke, the WAL still holds every record the
             # bundle does not cover (truncation is the *last* step and
@@ -742,18 +746,19 @@ class RegionService:
         self._mark_ok(key)
         return CheckpointResult(
             dataset=key,
-            epoch=session.epoch,
+            epoch=epoch,
             data_path=spec.data,
             index_path=spec.index,
             wal_records_dropped=before - after,
-            n=session.dataset.n,
+            n=dataset.n,
         )
 
     def compact(self, key: str) -> CompactResult:
         """Merge the dataset's WAL records into one equivalent batch.
 
-        Runs under the session's exclusive update gate (no solve or
-        update observes a half-rewritten log).  Epoch numbering is
+        Holds the session's update gate shared, like :meth:`checkpoint`:
+        no update appends to a half-rewritten log, and queries, which
+        never read the log, keep running.  Epoch numbering is
         stable across compaction -- the merged record carries its span,
         the log head does not move, and the live session, its replicas
         and saved bundles keep their epochs.  Replaying the compacted
@@ -772,9 +777,10 @@ class RegionService:
         if wal is None:
             raise ValueError(f"dataset {key!r} has no write-ahead log to compact")
         try:
-            with session._update_gate.exclusive():
+            with session._update_gate.shared():
                 faults.failpoint(FP_COMPACT_PRE_REWRITE)
                 cstats = wal.compact(session.dataset.schema)
+                epoch = session.epoch
         except Exception as exc:
             self._degrade(key, f"compaction failed: {type(exc).__name__}: {exc}")
             raise
@@ -785,7 +791,7 @@ class RegionService:
             records_after=cstats.records_after,
             bytes_before=cstats.bytes_before,
             bytes_after=cstats.bytes_after,
-            epoch=session.epoch,
+            epoch=epoch,
         )
 
     def recover(self, key: str) -> ReplayStats:
@@ -880,6 +886,11 @@ class RegionService:
         when the *baseline* CSV reflects the logged state, reset when
         the baseline itself was overwritten with the mutated data (the
         new epoch-0 baseline), and kept untouched for side copies.
+
+        The whole save sequence holds the session's gate shared, as
+        :meth:`checkpoint` does: an update committing between the CSV
+        write and the bundle save (or the log reset) would have its
+        record truncated while the CSV lacks it.
         """
         self._require_writer("persistence")
         self._require_available(key, "persistence", allow_degraded=True)
@@ -887,42 +898,44 @@ class RegionService:
         spec = self.spec(key)
         session = self.session(key)
         wal = session.wal
-        with self._lock:
-            baseline = self._baselines.get(key)
-        result_kwargs: dict = {
-            "dataset": key,
-            "epoch": session.epoch,
-            "wal_path": None if wal is None else wal.path,
-        }
-        if save_data:
-            from ..data.io import save_csv
-
-            save_csv(session.dataset, save_data)
-            result_kwargs["saved_data"] = save_data
-            result_kwargs["data_n"] = session.dataset.n
         baseline_overwritten = (
             save_data is not None
             and spec.data is not None
             and os.path.abspath(save_data) == os.path.abspath(spec.data)
         )
-        baseline_current = baseline_overwritten or session.dataset is baseline
-        result_kwargs["baseline_current"] = baseline_current
-        if save_index:
-            self._pool.save(key, save_index, checkpoint_wal=baseline_current)
-            result_kwargs["saved_index"] = save_index
-            if wal is not None:
-                result_kwargs["wal_action"] = (
-                    "checkpointed" if baseline_current else "kept"
-                )
-        elif save_data and wal is not None:
-            if baseline_overwritten:
-                result_kwargs["wal_action"] = "reset"
-                result_kwargs["wal_dropped"] = wal.reset()
-            else:
-                result_kwargs["wal_action"] = "side_copy"
-        if baseline_overwritten:
+        with session._update_gate.shared():
+            dataset = session.dataset
             with self._lock:
-                self._baselines[key] = session.dataset
+                baseline = self._baselines.get(key)
+            result_kwargs: dict = {
+                "dataset": key,
+                "epoch": session.epoch,
+                "wal_path": None if wal is None else wal.path,
+            }
+            if save_data:
+                from ..data.io import save_csv
+
+                save_csv(dataset, save_data)
+                result_kwargs["saved_data"] = save_data
+                result_kwargs["data_n"] = dataset.n
+            baseline_current = baseline_overwritten or dataset is baseline
+            result_kwargs["baseline_current"] = baseline_current
+            if save_index:
+                self._pool.save(key, save_index, checkpoint_wal=baseline_current)
+                result_kwargs["saved_index"] = save_index
+                if wal is not None:
+                    result_kwargs["wal_action"] = (
+                        "checkpointed" if baseline_current else "kept"
+                    )
+            elif save_data and wal is not None:
+                if baseline_overwritten:
+                    result_kwargs["wal_action"] = "reset"
+                    result_kwargs["wal_dropped"] = wal.reset()
+                else:
+                    result_kwargs["wal_action"] = "side_copy"
+            if baseline_overwritten:
+                with self._lock:
+                    self._baselines[key] = dataset
         return PersistResult(**result_kwargs)
 
     # ------------------------------------------------------------------

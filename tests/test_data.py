@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import Rect
+from repro.core import (
+    CategoricalAttribute,
+    NumericAttribute,
+    Rect,
+    Schema,
+    SpatialDataset,
+)
 from repro.data import (
     CATEGORIES,
     DAYS,
@@ -174,6 +180,33 @@ class TestCsvIO:
             loaded.column("category"), fig1_dataset.column("category")
         )
         np.testing.assert_allclose(loaded.column("price"), fig1_dataset.column("price"))
+
+    def test_save_csv_bytes_pinned(self, tmp_path):
+        # A string-domain and an int-domain categorical, and floats whose
+        # text is easy to get wrong: nan, -0.0, 1e-300 and 0.1 + 0.2.
+        schema = Schema.of(
+            CategoricalAttribute("day", ("Mon", "Sat")),
+            CategoricalAttribute("floor", (3, 10)),
+            NumericAttribute("score"),
+        )
+        dataset = SpatialDataset(
+            np.array([0.1 + 0.2, -0.0, 1e-300]),
+            np.array([2.5, float("nan"), -7.0]),
+            schema,
+            {
+                "day": np.array([1, 0, 1]),
+                "floor": np.array([0, 1, 1]),
+                "score": np.array([float("nan"), -0.0, 0.1 + 0.2]),
+            },
+        )
+        path = tmp_path / "pinned.csv"
+        save_csv(dataset, path)
+        assert path.read_bytes() == (
+            b"x,y,day,floor,score\r\n"
+            b"0.30000000000000004,2.5,Sat,3,nan\r\n"
+            b"-0.0,nan,Mon,10,-0.0\r\n"
+            b"1e-300,-7.0,Sat,10,0.30000000000000004\r\n"
+        )
 
     def test_header_mismatch_raises(self, tmp_path, fig1_dataset):
         path = tmp_path / "bad.csv"

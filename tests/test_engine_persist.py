@@ -6,6 +6,8 @@ pays the index build again, and refuses to serve a dataset it was not
 built over.
 """
 
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,31 @@ class TestRoundTrip:
         assert restored.cache_info()["index_built"]
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    def test_bundle_members_match_the_savez_compressed_layout(self, tmp_path):
+        """Bundles are deflated at level 1 and hold, member for member,
+        the bytes ``np.savez_compressed`` stores: re-zipped with it, a
+        bundle still answers bitwise."""
+        dataset, aggregator, queries = _instance(29, 60)
+        session = QuerySession(dataset, settings=SMALL)
+        expected = session.solve_batch(queries)
+        path = tmp_path / "session.idx"
+        save_session(session, path)
+        with np.load(path, allow_pickle=False) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        rezipped = tmp_path / "rezipped.idx"
+        with open(rezipped, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with zipfile.ZipFile(path) as new, zipfile.ZipFile(rezipped) as old:
+            infos = new.infolist()
+            assert infos
+            assert {info.compress_type for info in infos} == {zipfile.ZIP_DEFLATED}
+            assert sorted(new.namelist()) == sorted(old.namelist())
+            for name in new.namelist():
+                assert new.read(name) == old.read(name), name
+        restored = load_session(rezipped, dataset)
+        for want, got in zip(expected, restored.solve_batch(queries)):
+            assert _same_result(want, got)
 
     def test_unwarmed_session_roundtrip(self, tmp_path):
         dataset, aggregator, queries = _instance(9, 20)

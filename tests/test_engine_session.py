@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core import ASRSQuery
 from repro.dssearch import SearchSettings, ds_search
+from repro.dssearch.canonical import TieCollectingEngine, run_pass1, run_pass2
 from repro.dssearch.search import DSSearchEngine
 from repro.engine import QuerySession
 from repro.index import GridIndex, candidate_cell_arrays, gi_ds_search
@@ -261,3 +262,34 @@ class TestStatsSnapshot:
         engine.stats.spaces_processed += 1000
         engine.stats.extra["poisoned"] = True
         assert stats.search == before
+
+
+class TestVerifiedCandidates:
+    @pytest.mark.parametrize("seed", (3, 5, 11))
+    def test_session_and_cold_gids_count_the_same_verifications(self, seed):
+        dataset, query = _random_instance(seed, 50)
+        session = QuerySession(dataset, settings=SMALL)
+        cold_result, cold = gi_ds_search(
+            dataset,
+            query,
+            granularity=session.granularity,
+            settings=SMALL,
+            return_stats=True,
+        )
+        for _ in range(2):  # a cold-cache and a warm-cache solve
+            result, warm = session.solve(query, return_stats=True)
+            assert _same_result(result, cold_result)
+            assert (
+                warm.search["verified_candidates"]
+                == cold.search["verified_candidates"]
+            )
+        # Every incumbent update is verified first.
+        assert cold.search["verified_candidates"] >= cold.search["incumbent_updates"]
+        assert cold.search["incumbent_updates"] >= 1
+
+    def test_pass2_counts_its_tie_checks(self):
+        dataset, query = _random_instance(5, 50)
+        dstar = run_pass1(DSSearchEngine(dataset, query, SMALL))
+        collector = TieCollectingEngine(dataset, query, SMALL)
+        tied = run_pass2(collector, dstar)
+        assert collector.stats.verified_candidates >= len(tied) >= 1

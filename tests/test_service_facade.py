@@ -311,11 +311,12 @@ class TestUpdatesAndPolicy:
         assert not os.path.exists(spec.index)  # compaction never saves bundles
 
     def test_concurrent_updates_and_checkpoints_stay_recoverable(self, tmp_path):
-        """Checkpoints run under the session's exclusive gate: an update
-        landing between the CSV write and the bundle save would log a
-        record the checkpoint then truncates without its data being in
-        the CSV.  Hammer updates and checkpoints concurrently, then
-        prove the persisted triple recovers to the live state."""
+        """Checkpoints hold the session's gate shared, which still keeps
+        updates out: an update landing between the CSV write and the
+        bundle save would log a record the checkpoint then truncates
+        without its data being in the CSV.  Hammer updates and
+        checkpoints concurrently, then prove the persisted triple
+        recovers to the live state."""
         import threading
 
         rng = np.random.default_rng(18)

@@ -140,6 +140,7 @@ class TestStatsCodec:
         search = result.stats["search"]
         assert search["spaces_processed"] >= 1
         assert isinstance(search["candidate_points_evaluated"], int)
+        assert search["verified_candidates"] >= search["incumbent_updates"]
         assert result.stats["searched_cells"] >= 1
 
 
