@@ -32,6 +32,11 @@ than the *search schedule*, in two passes:
    that set.  The final answer is the lexicographically smallest
    canonical region over all tied point sets.
 
+Pass 2 repeats none of pass 1's target-independent work: both passes
+search the same pieces, so each piece's root accumulation is computed
+once per solve (a session keeps those of hole-free pieces across
+solves), and pass 2 verifies each covered point set once.
+
 The composition is decomposition-independent: a shard restricted to an
 anchor tile enumerates the tied point sets reachable from its tile,
 canonicalizes each, and the router's lexicographic merge over shards
@@ -48,7 +53,7 @@ improvement is required -- so pass 1 already holds it).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -60,10 +65,12 @@ from .search import DSSearchEngine
 from .topk import subtract_many
 
 Anchor = Tuple[float, float]
+#: A search piece's ``(x_min, y_min, x_max, y_max)``: the root-seed key.
+Piece = Tuple[float, float, float, float]
 
 
 class TieCollectingEngine(DSSearchEngine):
-    """The pass-2 engine: frozen threshold, tied anchors collected.
+    """The pass-2 engine: frozen threshold, one tied anchor per set.
 
     :meth:`arm` pins ``best_distance`` a small margin above ``d*`` so
     the ``lb >= threshold`` prune keeps every space that could hold a
@@ -72,11 +79,22 @@ class TieCollectingEngine(DSSearchEngine):
     verifies candidates at region semantics (the same
     :meth:`~DSSearchEngine.true_distance` the exact search trusts) and
     records the anchors that achieve ``d*`` bitwise.
+
+    A verified distance is a function of the covered point set alone,
+    so each distinct set is verified once: on a tie plateau hundreds of
+    candidates cover one and the same set.  The seen sets are keyed by
+    their exact packed membership bytes, and only the first anchor of
+    each tied set is recorded -- :func:`canonical_pick` canonicalizes
+    per set, so the answer does not depend on which anchor stands for
+    it.  The root accumulations of the searched pieces come from the
+    ``seeds`` mapping :func:`run_pass2` hands through (see
+    :func:`run_pass1`).
     """
 
     def arm(self, dstar: float) -> None:
         self.dstar = float(dstar)
         self.tied: List[Anchor] = []
+        self.seen: Set[bytes] = set()
         # Claimed candidate distances and Equation-1 lower bounds are
         # grid-accumulated floats: a genuinely tied anchor can carry a
         # claimed value (or sit inside a space whose bound lands) a few
@@ -93,8 +111,14 @@ class TieCollectingEngine(DSSearchEngine):
     def offer_batch(
         self, px: np.ndarray, py: np.ndarray, dists: np.ndarray
     ) -> bool:
+        w, h = self.query.width, self.query.height
         for i in np.flatnonzero(dists <= self.margin):
             x, y = float(px[i]), float(py[i])
+            mask = self.dataset.mask_in_region(region_for_point(x, y, w, h))
+            key = np.packbits(mask).tobytes()
+            if key in self.seen:
+                continue  # same covered set: its verified distance is known
+            self.seen.add(key)
             if self.true_distance(x, y) == self.dstar:
                 self.tied.append((x, y))
         return False  # the incumbent never improves in pass 2
@@ -125,12 +149,37 @@ def search_pieces(
     return subtract_many(outer, list(holes))
 
 
+def _search_from_seeds(
+    engine: DSSearchEngine,
+    domain: Optional[Rect],
+    holes: Sequence[Rect],
+    seeds: Optional[Dict[Piece, tuple]],
+) -> None:
+    """Search every piece of ``domain`` minus ``holes`` from its root seed.
+
+    ``seeds`` is the :func:`run_pass1` mapping.  Concurrent solves may
+    both fill a missing key; their entries are bitwise equal, so either
+    may stay.
+    """
+    if seeds is None:
+        seeds = {}
+    for piece in search_pieces(engine, domain, holes):
+        key = (piece.x_min, piece.y_min, piece.x_max, piece.y_max)
+        entry = seeds.get(key)
+        if entry is None:
+            entry = seeds[key] = engine.root_state(piece)
+        if entry:
+            active, sub, acc = entry
+            engine.search_space(piece, 0.0, active, seed=(sub, acc))
+
+
 def run_pass1(
     engine: DSSearchEngine,
     *,
     domain: Optional[Rect] = None,
     holes: Sequence[Rect] = (),
     seed_point: Optional[Anchor] = None,
+    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> float:
     """The ordinary exact search over ``domain`` minus ``holes``.
 
@@ -138,6 +187,17 @@ def run_pass1(
     distance.  ``seed_point`` overrides the empty-region seed -- a
     shard passes the router-computed *global* seed so its local empty
     answer is positionally identical to the unsharded one.
+
+    ``seeds`` maps each search piece's ``(x_min, y_min, x_max, y_max)``
+    to its :meth:`~DSSearchEngine.root_state`, filled on a miss (``None``
+    uses a fresh mapping).  That state depends on the rectangles, the
+    channel weights and the settings, never on the target or the
+    incumbent, so pass 2 and later solves of the same shape can share
+    it.  A seeded search is bit for bit the unseeded one: the root grid
+    has the same space and shape, and
+    :meth:`~DSSearchEngine.level0_accumulation` sums the same rectangles
+    with the same weights in the same order (GI-DS seeds its searched
+    cells the same way, DESIGN.md §7.1).
     """
     if engine.dataset.n == 0:
         if seed_point is not None:
@@ -146,9 +206,7 @@ def run_pass1(
     if seed_point is None:
         seed_point = canonical_seed(engine.rects.bounds(), holes, engine.query)
     engine.best_point = (float(seed_point[0]), float(seed_point[1]))
-    for piece in search_pieces(engine, domain, holes):
-        active = np.flatnonzero(engine.rects.overlap_mask(piece))
-        engine.search_space(piece, 0.0, active)
+    _search_from_seeds(engine, domain, holes, seeds)
     return engine.best_distance
 
 
@@ -158,14 +216,20 @@ def run_pass2(
     *,
     domain: Optional[Rect] = None,
     holes: Sequence[Rect] = (),
+    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> List[Anchor]:
-    """Collect every anchor achieving ``dstar`` over ``domain`` minus ``holes``."""
+    """Collect anchors achieving ``dstar`` over ``domain`` minus ``holes``.
+
+    Returns one anchor per tied point set (see
+    :class:`TieCollectingEngine`).  ``seeds`` is the :func:`run_pass1`
+    mapping, keyed by piece coordinates: the pieces are the same, so
+    pass 2 re-searches them from pass 1's root states, bit for bit the
+    search that would have recomputed them.
+    """
     collector.arm(dstar)
     if collector.dataset.n == 0:
         return []
-    for piece in search_pieces(collector, domain, holes):
-        active = np.flatnonzero(collector.rects.overlap_mask(piece))
-        collector.search_space(piece, 0.0, active)
+    _search_from_seeds(collector, domain, holes, seeds)
     return list(collector.tied)
 
 
@@ -283,24 +347,36 @@ def solve_canonical(
     domain: Optional[Rect] = None,
     holes: Sequence[Rect] = (),
     seed_point: Optional[Anchor] = None,
+    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> RegionResult:
     """Both passes plus canonicalization: the full canonical solve.
 
     The two factories supply fresh engines (a session passes its
     cache-assembling ``_engine``; cold callers build
     :class:`DSSearchEngine` / :class:`TieCollectingEngine` directly).
+
+    ``seeds`` is the root-seed mapping of :func:`run_pass1`, keyed by
+    piece coordinates; both engines must share the rectangles, weights
+    and settings it was filled with.  Without one a per-solve mapping
+    is created, so pass 2 always reuses pass 1's roots; a session
+    passes a mapping it holds per query shape so later hole-free solves
+    reuse them too.  Either way the answer is bitwise the unseeded one.
     """
+    if seeds is None:
+        seeds = {}
     engine = make_engine()
     d_empty = engine.best_distance
     dstar = run_pass1(
-        engine, domain=domain, holes=holes, seed_point=seed_point
+        engine, domain=domain, holes=holes, seed_point=seed_point, seeds=seeds
     )
     if engine.dataset.n == 0 or dstar == d_empty:
         # The incumbent never moved: the canonical answer is the seed
         # region itself, a pure function of bounds + holes.
         return engine.result()
     collector = make_collector()
-    anchors = run_pass2(collector, dstar, domain=domain, holes=holes)
+    anchors = run_pass2(
+        collector, dstar, domain=domain, holes=holes, seeds=seeds
+    )
     anchors.append(engine.best_point)
     region = canonical_pick(engine.dataset, query, anchors, holes)
     if region is None:
@@ -320,6 +396,7 @@ def solve_canonical_topk(
     *,
     dataset_n: int,
     exclude: Optional[Rect] = None,
+    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> List[RegionResult]:
     """Canonical top-k: :func:`ds_search_topk`'s round structure, each
     round answered canonically so the per-round holes -- and therefore
@@ -327,6 +404,8 @@ def solve_canonical_topk(
 
     ``dataset_n`` is the dataset's point count, mirroring the topk
     loop's empty-dataset short-circuit (one empty result, no holes).
+    ``seeds`` serves only a round without holes; every other round's
+    pieces depend on earlier answers, so it gets a per-solve mapping.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -343,7 +422,11 @@ def solve_canonical_topk(
         )
     for _ in range(k):
         result = solve_canonical(
-            make_engine, make_collector, query, holes=list(holes)
+            make_engine,
+            make_collector,
+            query,
+            holes=list(holes),
+            seeds=None if holes else seeds,
         )
         results.append(result)
         if dataset_n == 0:

@@ -107,8 +107,9 @@ class SearchStats:
     max_depth_seen: int = 0
     candidate_points_evaluated: int = 0
     incumbent_updates: int = 0
-    #: region-semantics re-evaluations (:meth:`DSSearchEngine.true_distance`),
-    #: canonical pass-2 tie checks included
+    #: region-semantics re-evaluations (:meth:`DSSearchEngine.true_distance`);
+    #: canonical pass 2 counts one per distinct covered point set among
+    #: its candidates within the margin, not one per candidate
     verified_candidates: int = 0
     extra: dict = field(default_factory=dict)
 
@@ -278,6 +279,21 @@ class DSSearchEngine:
             )
         finally:
             grid.release()
+
+    def root_state(self, space: Rect) -> tuple:
+        """``(active, sub, accumulation)`` of a root space, or ``()``.
+
+        The target-independent part of searching ``space`` from its
+        root: the overlapping rectangles' indices, their gathered
+        coordinates and :meth:`level0_accumulation`.  ``()`` marks a
+        space no rectangle overlaps.  GI-DS cells and canonical search
+        pieces memoize it and seed :meth:`search_space` with it.
+        """
+        active = np.flatnonzero(self.rects.overlap_mask(space))
+        if not active.size:
+            return ()
+        sub = self.rects.take(active)
+        return active, sub, self.level0_accumulation(space, active, sub)
 
     def search_space(
         self,

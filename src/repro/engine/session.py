@@ -290,6 +290,13 @@ class QuerySession:
         # (engine/updates.py, DESIGN.md §10.4).
         self._lattice_sums: Dict[Tuple[float, float, int], tuple] = {}
         self._cells: Dict[Tuple[float, float, int], dict] = {}
+        # Canonical solves' root seeds (dssearch/canonical.py): per
+        # (width, height, compiler), a dict from search-piece
+        # coordinates to the piece's (active, sub, acc) root state, or
+        # () for an empty piece.  Kept apart from _cells, whose entries
+        # apply_update reinterprets by lattice index; an update drops
+        # these instead.  Not persisted.
+        self._root_seeds: Dict[Tuple[float, float, int], dict] = {}
         # Disk-restored artefacts keyed by aggregator *signature* (ids
         # do not survive a process restart); adopted into the id-keyed
         # caches on first use.  See engine/persist.py.  v3 bundles add
@@ -679,6 +686,38 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Canonical solving (dssearch/canonical.py, DESIGN.md §15)
     # ------------------------------------------------------------------
+    def _canonical_engines(self, query: ASRSQuery) -> tuple:
+        """The pass-1 and pass-2 engine factories of a canonical solve."""
+        return (
+            lambda: self._engine(query, 0.0),
+            lambda: self._engine(
+                query, 0.0, factory=canonical.TieCollectingEngine
+            ),
+        )
+
+    def _root_seeds_for(self, query: ASRSQuery) -> dict:
+        """The session's root-seed map of a query shape.
+
+        Only hole-free canonical solves use it: their pieces (a shard's
+        tile, or the whole bounds) repeat across queries, while pieces
+        cut around holes would grow it without bound.
+        """
+        compiler = self.compiler_for(query.aggregator)
+        key = (float(query.width), float(query.height), id(compiler))
+        return self._memo(self._root_seeds, key, dict, pin=compiler)
+
+    def _canonical(
+        self, query: ASRSQuery, holes: Sequence["Rect"], **kwargs
+    ) -> RegionResult:
+        """One canonical solve; the caller holds the shared gate."""
+        return canonical.solve_canonical(
+            *self._canonical_engines(query),
+            query,
+            holes=holes,
+            seeds=None if holes else self._root_seeds_for(query),
+            **kwargs,
+        )
+
     def solve_canonical(
         self,
         query: ASRSQuery,
@@ -700,15 +739,8 @@ class QuerySession:
         the router-computed global seed).
         """
         with self._update_gate.shared():
-            return canonical.solve_canonical(
-                lambda: self._engine(query, 0.0),
-                lambda: self._engine(
-                    query, 0.0, factory=canonical.TieCollectingEngine
-                ),
-                query,
-                domain=domain,
-                holes=holes,
-                seed_point=seed_point,
+            return self._canonical(
+                query, domain=domain, holes=holes, seed_point=seed_point
             )
 
     def solve_canonical_with_epoch(
@@ -722,15 +754,8 @@ class QuerySession:
         """:meth:`solve_canonical` plus the epoch it was computed at."""
         with self._update_gate.shared():
             return (
-                canonical.solve_canonical(
-                    lambda: self._engine(query, 0.0),
-                    lambda: self._engine(
-                        query, 0.0, factory=canonical.TieCollectingEngine
-                    ),
-                    query,
-                    domain=domain,
-                    holes=holes,
-                    seed_point=seed_point,
+                self._canonical(
+                    query, domain=domain, holes=holes, seed_point=seed_point
                 ),
                 self.epoch,
             )
@@ -747,14 +772,12 @@ class QuerySession:
         exclusion holes derive from canonical answers)."""
         with self._update_gate.shared():
             return canonical.solve_canonical_topk(
-                lambda: self._engine(query, 0.0),
-                lambda: self._engine(
-                    query, 0.0, factory=canonical.TieCollectingEngine
-                ),
+                *self._canonical_engines(query),
                 query,
                 k,
                 dataset_n=self.dataset.n,
                 exclude=exclude,
+                seeds=self._root_seeds_for(query),
             )
 
     # ------------------------------------------------------------------
@@ -837,6 +860,7 @@ class QuerySession:
             self._lattice_geometry.clear()
             self._lattice_sums.clear()
             self._cells.clear()
+            self._root_seeds.clear()
             self._pending_tables.clear()
             self._pending_table_cells.clear()
             self._pending_recipes.clear()
@@ -867,6 +891,7 @@ class QuerySession:
             "lattices": len(self._lattices),
             # list(): solves may insert cell caches concurrently.
             "cached_cells": sum(len(c) for c in list(self._cells.values())),
+            "root_seeds": sum(len(c) for c in list(self._root_seeds.values())),
             "epoch": self.epoch,
             "bundle_version": self.bundle_version,
             "wal": None if wal is None else wal.state(),
@@ -877,8 +902,8 @@ class QuerySession:
 
         Drives :class:`~repro.engine.pool.SessionPool` eviction; counts
         the numpy payloads (index tables, channel weights, suffix
-        tables, lattice intervals, ASP rectangles, cached cell states)
-        and ignores interpreter overhead.
+        tables, lattice intervals, ASP rectangles, cached cell states,
+        canonical root seeds) and ignores interpreter overhead.
         """
         total = 0
         # Adopted pending artefacts alias their id-keyed entries (the
@@ -922,7 +947,7 @@ class QuerySession:
             total += sum(arr_bytes(arr) for arr in lattice)
         for sums in list(self._pending_lattice_sums.values()):
             total += sum(arr_bytes(arr) for arr in sums)
-        for cells in list(self._cells.values()):
+        for cells in [*self._cells.values(), *self._root_seeds.values()]:
             for entry in list(cells.values()):
                 if not entry:
                     continue

@@ -605,6 +605,9 @@ def _derive_and_swap(
         else:
             session._lattice_geometry.update(computed_geometry)
         session._cells = new_cells
+        # Root seeds hold whole-piece accumulations and pieces follow
+        # the rectangle bounds: dropped, and refilled by the next solve.
+        session._root_seeds = {}
         session._pending_tables = new_pending_tables
         session._pending_table_cells = new_pending_cells
         session._pending_recipes = new_pending_recipes

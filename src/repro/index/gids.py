@@ -271,8 +271,6 @@ def gi_ds_search(
     stats.pruned_cells = stats.total_cells - int(survivors.size)
     frontier = survivors[np.argsort(lbs[survivors], kind="stable")]
 
-    rx_min, ry_min = engine.rects.x_min, engine.rects.y_min
-    rx_max, ry_max = engine.rects.x_max, engine.rects.y_max
     for i in frontier.tolist():
         lb = float(lbs[i])
         if lb >= engine._threshold():
@@ -286,14 +284,7 @@ def gi_ds_search(
         # marks a cell with no overlapping rectangles.
         entry = cell_cache.get(i) if cell_cache is not None else None
         if entry is None:
-            active = np.flatnonzero(
-                (rx_min < cx1) & (cx0 < rx_max) & (ry_min < cy1) & (cy0 < ry_max)
-            )
-            if active.size:
-                sub = engine.rects.take(active)
-                entry = (active, sub, engine.level0_accumulation(cell, active, sub))
-            else:
-                entry = ()
+            entry = engine.root_state(cell)
             if cell_cache is not None and len(cell_cache) < CELL_CACHE_CAP:
                 cell_cache[i] = entry
         if not entry:

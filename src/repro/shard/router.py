@@ -245,12 +245,21 @@ class ShardRouter:
     # Scatter plumbing
     # ------------------------------------------------------------------
     def _request_one(self, shard: int, frame: dict) -> dict:
-        """One backend request; a dead pipe marks the shard degraded."""
+        """One backend request, always answered by an envelope.
+
+        A dead pipe marks the shard degraded.  Any other exception
+        becomes an error envelope here, at the delivery's thread
+        boundary, so a scatter has an entry for every frame: a delivery
+        that raised refuses the operation instead of dropping its shard
+        out of a merge or out of an update's acknowledgements.
+        """
         try:
             return self._backends[shard].request(frame)
         except ShardDeadError as exc:
             self._mark_dead(shard, str(exc))
             return {"ok": False, "kind": "dead", "error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 -- the envelope IS the handler
+            return {"ok": False, "kind": type(exc).__name__, "error": str(exc)}
 
     def _mark_dead(self, shard: int, cause: str) -> None:
         with self._lock:
@@ -259,7 +268,10 @@ class ShardRouter:
             )
 
     def _scatter(self, frames: Dict[int, dict]) -> Dict[int, dict]:
-        """Deliver ``frames`` concurrently; caller holds ``_gate``."""
+        """Deliver ``frames`` concurrently; one envelope per frame.
+
+        The caller holds ``_gate``.
+        """
         faults.failpoint(FP_ROUTER_SCATTER)
         if len(frames) == 1:
             ((shard, frame),) = frames.items()

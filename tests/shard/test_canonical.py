@@ -13,9 +13,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import ASRSQuery
+from repro.asp.reduction import region_for_point
+from repro.core import (
+    ASRSQuery,
+    CompositeAggregator,
+    DistributionAggregator,
+    SelectAll,
+)
 from repro.core.geometry import Rect
-from repro.dssearch.canonical import canonical_seed
+from repro.dssearch.canonical import (
+    TieCollectingEngine,
+    canonical_seed,
+    run_pass1,
+    run_pass2,
+    solve_canonical,
+)
+from repro.dssearch.search import DSSearchEngine
 from repro.engine.session import QuerySession
 from repro.shard import ShardPlan
 
@@ -105,3 +118,81 @@ class TestDecomposition:
         second = session.solve_canonical(query, holes=(first.region,))
         assert second.region != first.region
         assert second.distance >= first.distance
+
+
+class _VerifyEveryCandidate(TieCollectingEngine):
+    """The reference pass 2: verifies every candidate within the margin
+    and records every tied anchor, with no per-set deduplication."""
+
+    def offer_batch(self, px, py, dists):
+        for i in np.flatnonzero(dists <= self.margin):
+            x, y = float(px[i]), float(py[i])
+            if self.true_distance(x, y) == self.dstar:
+                self.tied.append((x, y))
+        return False
+
+
+class _RecordingCollector(TieCollectingEngine):
+    """Pass 2 that also records the covered set of every candidate
+    within the margin, before deduplication."""
+
+    def arm(self, dstar):
+        super().arm(dstar)
+        self.offered = []
+
+    def offer_batch(self, px, py, dists):
+        w, h = self.query.width, self.query.height
+        for i in np.flatnonzero(dists <= self.margin):
+            region = region_for_point(float(px[i]), float(py[i]), w, h)
+            self.offered.append(self.dataset.mask_in_region(region).tobytes())
+        return super().offer_batch(px, py, dists)
+
+
+def _plateau(seed: int):
+    """Sparse points and large regions: each covered set is reachable
+    from a wide anchor box, so pass 2 meets it through many candidates."""
+    ds = make_random_dataset(np.random.default_rng(seed), 30, extent=80.0)
+    agg = CompositeAggregator([DistributionAggregator("kind", SelectAll())])
+    target = np.array([1.0, 1.0, 0.0])
+    return ds, ASRSQuery.from_vector(15.0, 12.0, agg, target)
+
+
+class TestPass2VerifiesEachSetOnce:
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_one_verification_per_distinct_covered_set(self, seed):
+        ds, query = _plateau(seed)
+        dstar = run_pass1(DSSearchEngine(ds, query))
+        collector = _RecordingCollector(ds, query)
+        tied = run_pass2(collector, dstar)
+        distinct = set(collector.offered)
+        assert len(collector.offered) > len(distinct)  # a real plateau
+        assert collector.stats.verified_candidates == len(distinct)
+        # One anchor per tied set, each covering a different set.
+        w, h = query.width, query.height
+        covered = [
+            ds.mask_in_region(region_for_point(x, y, w, h)).tobytes()
+            for x, y in tied
+        ]
+        assert len(set(covered)) == len(covered) >= 1
+
+        reference = _VerifyEveryCandidate(ds, query)
+        run_pass2(reference, dstar)
+        assert reference.stats.verified_candidates == len(collector.offered)
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_answer_equals_verify_every_candidate(self, seed):
+        ds, query = _plateau(seed)
+        want = solve_canonical(
+            lambda: DSSearchEngine(ds, query),
+            lambda: _VerifyEveryCandidate(ds, query),
+            query,
+        )
+        cold = solve_canonical(
+            lambda: DSSearchEngine(ds, query),
+            lambda: TieCollectingEngine(ds, query),
+            query,
+        )
+        session = QuerySession(ds)
+        assert _key(cold) == _key(want)
+        for _ in range(2):  # cold and warm root seeds
+            assert _key(session.solve_canonical(query)) == _key(want)

@@ -147,6 +147,67 @@ class TestLocalBackend:
         finally:
             router.close()
 
+    @pytest.mark.parametrize("nx", [1, 2])  # single-frame and threaded scatter
+    def test_raising_delivery_refuses_the_query(
+        self, tmp_path, monkeypatch, nx
+    ):
+        ds, plan, specs = _fixture(tmp_path, seed=7004, n=40, nx=nx)
+        router = ShardRouter(
+            plan, specs, ds, backend="local", directory=str(tmp_path)
+        )
+        try:
+            def boom(frame):
+                raise ValueError("delivery failed")
+
+            # The last shard holds rows, so a merge without it would lie.
+            monkeypatch.setattr(router._backends[-1], "request", boom)
+            with pytest.raises(DatasetUnavailable, match="delivery failed"):
+                router.query(REQ)
+            with pytest.raises(DatasetUnavailable, match="delivery failed"):
+                router.query_batch([REQ])
+            monkeypatch.undo()
+            _assert_identical(ds, router, REQ)
+        finally:
+            router.close()
+
+    @pytest.mark.parametrize("nx", [1, 2])  # single-frame and threaded scatter
+    def test_raising_delivery_keeps_the_update_pending(
+        self, tmp_path, monkeypatch, nx
+    ):
+        ds, plan, specs = _fixture(tmp_path, seed=7005, n=40, nx=nx)
+        router = ShardRouter(
+            plan, specs, ds, backend="local", directory=str(tmp_path)
+        )
+        try:
+            # One deleted row from every shard: every shard gets a frame.
+            delete = sorted(
+                {
+                    int(np.flatnonzero(plan.covered_mask(s, ds.xs, ds.ys))[0])
+                    for s in range(plan.n_shards)
+                }
+            )
+            upd = UpdateRequest(dataset="default", delete=tuple(delete))
+
+            def boom(frame):
+                raise ValueError("delivery failed")
+
+            monkeypatch.setattr(router._backends[-1], "request", boom)
+            with pytest.raises(DatasetUnavailable, match="delivery failed"):
+                router.update(upd)
+            # Not acknowledged: the mirror never committed, and the
+            # batch stays pending for recover() to drain.
+            assert router.epoch == 0 and router.dataset.n == ds.n
+            assert router.health()["state"] == "degraded"
+            with pytest.raises(DatasetUnavailable, match="in flight"):
+                router.query(REQ)
+            monkeypatch.undo()
+            out = router.recover()
+            assert out["committed"] and out["resent"] == 1
+            assert router.epoch == 1
+            _assert_identical(_apply(ds, upd), router, REQ)
+        finally:
+            router.close()
+
     def test_oversized_query_rejected(self, tmp_path):
         ds, plan, specs = _fixture(tmp_path, seed=7001, n=20)
         router = ShardRouter(

@@ -9,13 +9,14 @@ up as a corrupted artefact or a torn cache; these tests hammer exactly
 those paths.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core import ASRSQuery
+from repro.core import ASRSQuery, Rect
 from repro.dssearch import SearchSettings
 from repro.engine import QuerySession, SessionPool
 
@@ -163,6 +164,52 @@ class TestConcurrentSession:
         finally:
             stop.set()
             thread.join()
+
+    def test_canonical_solves_share_root_seeds_bitwise(self):
+        """Concurrent canonical solves fill one session's root-seed map
+        (whole bounds and two tiles per shape) while a clearer empties
+        it; every answer equals the serial one, bit for bit."""
+        dataset, queries = _workload(53, 60, 6)
+        tiles = (
+            None,
+            Rect(-20.0, -20.0, 30.0, 80.0),
+            Rect(30.0, -20.0, 80.0, 80.0),
+        )
+        jobs = [(i, t) for i in range(len(queries)) for t in range(len(tiles))]
+        reference = QuerySession(dataset, settings=SMALL)
+        expected = {
+            (i, t): reference.solve_canonical(queries[i], domain=tiles[t])
+            for i, t in jobs
+        }
+        shared = QuerySession(dataset, settings=SMALL)
+        stop = threading.Event()
+
+        def clearer():
+            while not stop.wait(0.005):
+                shared.clear_caches()
+
+        def run(job):
+            i, t = job
+            return job, shared.solve_canonical(queries[i], domain=tiles[t])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=clearer)
+        thread.start()
+        try:
+            with ThreadPoolExecutor(max_workers=6) as ex:
+                for job, got in ex.map(run, jobs * 3):
+                    assert _same_result(got, expected[job])
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        for i, t in jobs:  # after the clears, a warm map serves them too
+            assert _same_result(
+                shared.solve_canonical(queries[i], domain=tiles[t]),
+                expected[(i, t)],
+            )
 
 
 class TestSessionPool:

@@ -17,6 +17,7 @@ from repro.dssearch import SearchSettings, ds_search
 from repro.dssearch.canonical import TieCollectingEngine, run_pass1, run_pass2
 from repro.dssearch.search import DSSearchEngine
 from repro.engine import QuerySession
+from repro.engine.updates import UpdateBatch
 from repro.index import GridIndex, candidate_cell_arrays, gi_ds_search
 
 from .conftest import make_random_dataset, random_aggregator
@@ -293,3 +294,108 @@ class TestVerifiedCandidates:
         collector = TieCollectingEngine(dataset, query, SMALL)
         tied = run_pass2(collector, dstar)
         assert collector.stats.verified_candidates >= len(tied) >= 1
+
+
+class TestCanonicalRootSeeds:
+    """Hole-free canonical solves reuse the session's per-piece root
+    seeds; the reuse never changes an answer and never outlives the
+    dataset it was computed from."""
+
+    @staticmethod
+    def _count_level0(monkeypatch) -> list:
+        calls = []
+        original = DSSearchEngine.level0_accumulation
+
+        def counting(self, space, active, sub):
+            calls.append(space)
+            return original(self, space, active, sub)
+
+        monkeypatch.setattr(DSSearchEngine, "level0_accumulation", counting)
+        return calls
+
+    def _queries(self, seed: int = 41):
+        dataset, query = _random_instance(seed, 60)
+        rng = np.random.default_rng(seed)
+        other = ASRSQuery.from_vector(
+            query.width,
+            query.height,
+            query.aggregator,
+            rng.uniform(0.0, 4.0, query.aggregator.dim(dataset)),
+        )
+        return dataset, query, other
+
+    def test_second_solve_of_a_shape_computes_no_root(self, monkeypatch):
+        dataset, query, other = self._queries()
+        session = QuerySession(dataset, settings=SMALL)
+        calls = self._count_level0(monkeypatch)
+        session.solve_canonical(query)
+        # One root per stored piece: pass 2 reused pass 1's roots.
+        assert len(calls) == session.cache_info()["root_seeds"] >= 1
+        calls.clear()
+        session.solve_canonical(other)
+        session.solve_canonical_with_epoch(query)
+        assert calls == []
+        # A hole cuts new pieces: those roots are computed per solve and
+        # never stored.
+        before = session.cache_info()["root_seeds"]
+        first = session.solve_canonical(query)
+        session.solve_canonical(query, holes=(first.region,))
+        assert len(calls) >= 1
+        assert session.cache_info()["root_seeds"] == before
+
+    def test_seeded_answers_equal_cold_sessions(self):
+        dataset, query, other = self._queries(43)
+        session = QuerySession(dataset, settings=SMALL)
+        for q in (query, other, query):
+            cold = QuerySession(dataset, settings=SMALL).solve_canonical(q)
+            assert _same_result(session.solve_canonical(q), cold)
+
+    def test_clear_caches_drops_the_seeds(self):
+        dataset, query, _ = self._queries()
+        session = QuerySession(dataset, settings=SMALL)
+        session.warm_for(query)
+        warm = session.cache_nbytes()
+        session.solve_canonical(query)
+        assert session.cache_info()["root_seeds"] >= 1
+        assert session.cache_nbytes() > warm
+        session.clear_caches()
+        assert session.cache_info()["root_seeds"] == 0
+        assert session.cache_nbytes() == 0
+
+    def test_update_drops_the_seeds(self):
+        dataset, query, other = self._queries(47)
+        session = QuerySession(dataset, settings=SMALL)
+        first = session.solve_canonical(query)
+        # Change rows without moving the bounds: the search pieces keep
+        # their coordinates, so a stale seed would still match a piece.
+        covered = np.flatnonzero(dataset.mask_in_region(first.region))
+        interior = [
+            int(i)
+            for i in covered
+            if dataset.xs.min() < dataset.xs[i] < dataset.xs.max()
+            and dataset.ys.min() < dataset.ys[i] < dataset.ys.max()
+        ]
+        assert len(interior) >= 2
+        session.apply(
+            UpdateBatch(
+                delete=interior,
+                append=[(30.0, 30.0, {"kind": "k0", "score": 1.0})],
+            )
+        )
+        assert session.cache_info()["root_seeds"] == 0
+        for q in (query, other):
+            cold = QuerySession(session.dataset, settings=SMALL)
+            assert _same_result(
+                session.solve_canonical(q), cold.solve_canonical(q)
+            )
+
+    def test_topk_with_holes_equals_cold_session(self):
+        dataset, query, other = self._queries(53)
+        session = QuerySession(dataset, settings=SMALL)
+        session.solve_canonical(other)  # the shape's seeds are warm
+        warm = session.solve_canonical_topk(query, 3)
+        cold = QuerySession(dataset, settings=SMALL)
+        cold = cold.solve_canonical_topk(query, 3)
+        assert len(warm) == len(cold) == 3
+        for a, b in zip(warm, cold):
+            assert _same_result(a, b)
