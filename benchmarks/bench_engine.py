@@ -29,7 +29,7 @@ the Fig. 10 scalability workload (Tweet + POISyn, query size 10q):
   serves the batch -- versus rebuilding a cold session on the final
   dataset.  Recovered answers must be bitwise-identical to the cold
   rebuild, and no cold channel-table rebuild may happen on restore
-  (the v3 bundle's pending cell sums are patched through replay).
+  (the bundle's pending cell sums are patched through replay).
   Note the baseline is *given* the final dataset, which a crashed
   server without a WAL does not have -- its on-disk CSV is at the
   bundle's epoch and the updates are simply lost.  The row therefore
@@ -59,14 +59,6 @@ the Fig. 10 scalability workload (Tweet + POISyn, query size 10q):
   canonical solves; the speedup is what process-level scatter-gather
   buys over the GIL-bound single process (expect > 1.0 only on
   multi-core runners -- the row records ``cpu_count`` so CI can gate).
-* **delta_lattice** -- per-update lattice maintenance on a *localized*
-  stream (each round mutates one small box, the POI-stream shape delta
-  maintenance targets; the scattered stream above trips the
-  too-many-touched fallback by design): delta-aware interval patching
-  (only dirty-touched lattice positions re-summed, the default) versus
-  forcing the full O(lattice·C) refresh (``delta_lattice=False``);
-  answers must be bitwise-identical between the two and to a per-round
-  cold rebuild.
 
 All rows must return bitwise-identical results; the script fails if
 they do not.  Results land in ``BENCH_engine.json`` so the perf
@@ -90,7 +82,6 @@ import time
 
 import numpy as np
 
-from repro.core import SpatialDataset
 from repro.core.query import ASRSQuery
 from repro.data import (
     generate_poisyn_dataset,
@@ -99,7 +90,6 @@ from repro.data import (
     weekend_query,
 )
 from repro.engine import QuerySession, UpdateBatch, load_session, replay, save_session
-from repro.engine.updates import apply_update
 from repro.experiments.datasets import SEED, paper_query_size
 from repro.index import gi_ds_search
 
@@ -357,85 +347,6 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         wal_rebuild_s = time.perf_counter() - t0
     wal_ok = all(identical(a, b) for a, b in zip(wal_recovered, wal_rebuilt))
 
-    # Delta-aware lattice maintenance needs a *localized* stream: each
-    # round deletes and re-spawns objects inside one small box (a tenth
-    # of the extent per side).  The scattered stream above dirties cells
-    # all over the grid, whose suffix-quadrant shadow covers most
-    # lattice corners -- apply_update then (correctly) takes the
-    # too-many-touched fallback and delta degenerates to full.
-    rng = np.random.default_rng(SEED + 2)
-    local_stream = []
-    local_ds = dataset
-    b = dataset.bounds()
-    for _ in range(rounds):
-        cx = rng.uniform(b.x_min, b.x_min + 0.9 * (b.x_max - b.x_min))
-        cy = rng.uniform(b.y_min, b.y_min + 0.9 * (b.y_max - b.y_min))
-        bw, bh = 0.1 * (b.x_max - b.x_min), 0.1 * (b.y_max - b.y_min)
-        in_box = (
-            (local_ds.xs > cx)
-            & (local_ds.xs < cx + bw)
-            & (local_ds.ys > cy)
-            & (local_ds.ys < cy + bh)
-        )
-        protect = np.unique(
-            [
-                int(np.argmin(local_ds.xs)),
-                int(np.argmax(local_ds.xs)),
-                int(np.argmin(local_ds.ys)),
-                int(np.argmax(local_ds.ys)),
-            ]
-        )
-        in_box[protect] = False
-        delete_idx = np.flatnonzero(in_box)[: max(1, local_ds.n // 500)]
-        n_spawn = max(1, local_ds.n // 500)
-        spawn = local_ds.subset(
-            np.sort(rng.choice(local_ds.n, size=n_spawn, replace=False))
-        )
-        spawn = SpatialDataset(
-            np.clip(rng.uniform(cx, cx + bw, n_spawn), b.x_min, b.x_max),
-            np.clip(rng.uniform(cy, cy + bh, n_spawn), b.y_min, b.y_max),
-            local_ds.schema,
-            {name: spawn.column(name) for name in local_ds.schema.names},
-        )
-        local_stream.append(UpdateBatch(append=spawn, delete=delete_idx))
-        local_ds = local_ds.delete(delete_idx).append(spawn)
-
-    dsession = QuerySession(dataset, granularity=granularity)
-    dsession.solve(queries[0])
-    t0 = time.perf_counter()
-    delta_rounds = []
-    delta_round_stats = []
-    for update, sl in zip(local_stream, slices):
-        delta_round_stats.append(apply_update(dsession, update))
-        delta_rounds.append(dsession.solve_batch(sl))
-    delta_lattice_s = time.perf_counter() - t0
-
-    fsession = QuerySession(dataset, granularity=granularity)
-    fsession.solve(queries[0])
-    t0 = time.perf_counter()
-    full_rounds = []
-    for update, sl in zip(local_stream, slices):
-        apply_update(fsession, update, delta_lattice=False)
-        full_rounds.append(fsession.solve_batch(sl))
-    full_lattice_s = time.perf_counter() - t0
-
-    local_rebuild = []
-    local_rebuild_ds = dataset
-    for update, sl in zip(local_stream, slices):
-        local_rebuild_ds = local_rebuild_ds.delete(update.delete).append(
-            update.append
-        )
-        local_rebuild.append(
-            QuerySession(local_rebuild_ds, granularity=granularity).solve_batch(sl)
-        )
-    delta_ok = all(
-        identical(a, r) and identical(f, r)
-        for d_round, f_round, r_round in zip(
-            delta_rounds, full_rounds, local_rebuild
-        )
-        for a, f, r in zip(d_round, f_round, r_round)
-    )
-
     ok = (
         all(
             identical(c, w) and identical(c, b) and identical(c, p) and identical(c, d)
@@ -447,7 +358,6 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
             for i, r in zip(inc_round, reb_round)
         )
         and wal_ok
-        and delta_ok
         and service_ok
         and sanitizer_ok
     )
@@ -487,15 +397,6 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         "wal_records_replayed": replay_stats.applied,
         "wal_pending_tables_patched": replay_stats.pending_tables_patched,
         "wal_identical": wal_ok,
-        "delta_lattice_s": round(delta_lattice_s, 4),
-        "full_lattice_s": round(full_lattice_s, 4),
-        "lattices_patched": int(
-            sum(s.lattices_patched for s in delta_round_stats)
-        ),
-        "lattice_positions_refreshed": int(
-            sum(s.lattice_positions_refreshed for s in delta_round_stats)
-        ),
-        "delta_identical": delta_ok,
         "speedup_warm": round(cold_s / warm_s, 2),
         "speedup_batch": round(cold_s / batch_s, 2),
         "speedup_parallel": round(cold_s / parallel_s, 2),
@@ -503,7 +404,6 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         "speedup_warm_disk": round(cold_s / (disk_load_s + disk_solve_s), 2),
         "speedup_incremental": round(rebuild_s / incremental_s, 2),
         "speedup_wal_replay": round(wal_rebuild_s / wal_replay_s, 2),
-        "speedup_delta_lattice": round(full_lattice_s / delta_lattice_s, 2),
         "identical": ok,
     }
 
@@ -653,14 +553,12 @@ def main(argv=None) -> int:
                 f"batch {cfg['batch_s']}s parallel {cfg['parallel_s']}s "
                 f"disk {cfg['disk_load_s']}+{cfg['disk_solve_s']}s "
                 f"incr {cfg['incremental_s']}s vs rebuild {cfg['rebuild_s']}s "
-                f"wal-replay {cfg['wal_replay_s']}s vs {cfg['wal_rebuild_s']}s "
-                f"delta-lattice {cfg['delta_lattice_s']}s vs {cfg['full_lattice_s']}s -> "
+                f"wal-replay {cfg['wal_replay_s']}s vs {cfg['wal_rebuild_s']}s -> "
                 f"warm {cfg['speedup_warm']}x batch {cfg['speedup_batch']}x "
                 f"parallel {cfg['speedup_parallel']}x "
                 f"warm-disk {cfg['speedup_warm_disk']}x "
                 f"incremental {cfg['speedup_incremental']}x "
                 f"wal-replay {cfg['speedup_wal_replay']}x "
-                f"delta-lattice {cfg['speedup_delta_lattice']}x "
                 f"identical={cfg['identical']}"
             )
 
@@ -684,8 +582,6 @@ def main(argv=None) -> int:
     tot_rebuild = sum(c["rebuild_s"] for c in configs)
     tot_wal_replay = sum(c["wal_replay_s"] for c in configs)
     tot_wal_rebuild = sum(c["wal_rebuild_s"] for c in configs)
-    tot_delta = sum(c["delta_lattice_s"] for c in configs)
-    tot_full = sum(c["full_lattice_s"] for c in configs)
     tot_direct = sum(c["direct_s"] for c in configs)
     tot_service = sum(c["service_s"] for c in configs)
     tot_sanitizer = sum(c["sanitizer_s"] for c in configs)
@@ -716,9 +612,6 @@ def main(argv=None) -> int:
             "wal_replay_s": round(tot_wal_replay, 4),
             "wal_rebuild_s": round(tot_wal_rebuild, 4),
             "speedup_wal_replay": round(tot_wal_rebuild / tot_wal_replay, 2),
-            "delta_lattice_s": round(tot_delta, 4),
-            "full_lattice_s": round(tot_full, 4),
-            "speedup_delta_lattice": round(tot_full / tot_delta, 2),
             "direct_s": round(tot_direct, 4),
             "service_s": round(tot_service, 4),
             "service_overhead_pct": round(
@@ -744,7 +637,6 @@ def main(argv=None) -> int:
         f"wal-replay {report['aggregate']['speedup_wal_replay']}x vs cold restart, "
         f"shard scale-out {shard_row['speedup_routed']}x "
         f"({shard_row['workers']} workers), "
-        f"delta-lattice {report['aggregate']['speedup_delta_lattice']}x vs full refresh, "
         f"service overhead {report['aggregate']['service_overhead_pct']}% vs direct solves, "
         f"sanitizer (disabled) overhead {report['aggregate']['sanitizer_overhead_pct']}% "
         f"-> {args.out}"

@@ -60,21 +60,6 @@ class BoundContext:
         """
         return self._extremes.get(term_index, (0.0, 0.0))
 
-    def __eq__(self, other: object) -> bool:
-        """Equal extremes => identical bounds at every lattice position.
-
-        Incremental lattice maintenance (engine/updates.py) reuses
-        cached interval bounds only while the context they were derived
-        under is unchanged; average-term bounds read these extremes at
-        *every* position, so a moved extreme invalidates all of them.
-        """
-        if not isinstance(other, BoundContext):
-            return NotImplemented
-        return self._extremes == other._extremes
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._extremes.items())))
-
 
 class CompiledTerm(ABC):
     """A term lowered to channels; knows its slice of both layouts."""

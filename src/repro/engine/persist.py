@@ -50,20 +50,13 @@ from .session import QuerySession, aggregator_recipe, aggregator_signature
 FP_SAVE = faults.register("persist.save")
 FP_RESTORE = faults.register("persist.restore")
 
-#: Bump when the bundle layout changes.  v2 added the dataset epoch and
-#: the index's pre-suffix cell sums (incremental updates); v3 adds the
-#: per-compiler channel-table cell sums and an aggregator rebuild
-#: recipe per table, so a restored session accepts updates (and WAL
-#: replay) without one cold channel-table rebuild; v4 adds the (full,
-#: over) range sums next to each lattice, so a restored-but-not-yet-
-#: adopted ("pending") lattice is *delta-patched* through updates and
-#: replay instead of dropping to a full lazy recompute.  v1 bundles are
-#: still read but the restored session refuses mutation (no cell sums
-#: to patch); v2 bundles mutate with a lazy cold table recompute; v3
-#: bundles mutate but re-derive lattices lazily.  Versions newer than
-#: this build are refused with a targeted message.
+#: The one bundle layout this build reads and writes; bump it when the
+#: layout changes.  It carries the dataset epoch, the index's
+#: pre-suffix cell sums, and each channel table's cell sums and
+#: rebuild recipe, so a restored session accepts updates and WAL
+#: replay without a cold rebuild.  Any other version is refused
+#: (DESIGN.md §9.4).
 FORMAT_VERSION = 4
-_READABLE_VERSIONS = (1, 2, 3, 4)
 
 
 def dataset_fingerprint(dataset: SpatialDataset) -> dict:
@@ -114,12 +107,10 @@ def save_session(session: QuerySession, path, *, checkpoint_wal: bool = True) ->
         tables_by_id = dict(session._tables)
         table_cells_by_id = dict(session._table_cells)
         lattices_by_key = dict(session._lattices)
-        lattice_sums_by_key = dict(session._lattice_sums)
         pending_tables = dict(session._pending_tables)
         pending_table_cells = dict(session._pending_table_cells)
         pending_recipes = dict(session._pending_recipes)
         pending_lattices = dict(session._pending_lattices)
-        pending_lattice_sums = dict(session._pending_lattice_sums)
 
     meta: dict = {
         "format_version": FORMAT_VERSION,
@@ -164,12 +155,12 @@ def save_session(session: QuerySession, path, *, checkpoint_wal: bool = True) ->
     }
 
     # Each table travels with its pre-suffix cell sums (what updates
-    # patch) and an aggregator rebuild recipe (format v3): a restored
-    # session can then accept updates -- including a WAL replay --
-    # before any live aggregator adopts the table, with no cold
-    # channel-table rebuild.  Cells/recipe may individually be absent
-    # (adopted from an older bundle, unrecipeable selection value);
-    # the table still loads, updates just drop it to a lazy recompute.
+    # patch) and an aggregator rebuild recipe: a restored session can
+    # then accept updates -- including a WAL replay -- before any live
+    # aggregator adopts the table, with no cold channel-table rebuild.
+    # Cells/recipe may individually be absent (adopted without cells,
+    # unrecipeable selection value); the table still loads, updates
+    # just drop it to a lazy recompute.
     tables: dict = {}
     for compiler_id, table in tables_by_id.items():
         signature = signature_of.get(compiler_id)
@@ -204,35 +195,20 @@ def save_session(session: QuerySession, path, *, checkpoint_wal: bool = True) ->
         if cells is not None:
             arrays[f"tabcells_{j}"] = cells
 
-    # Each lattice travels with the (full, over) range sums it was
-    # derived from (format v4): a restored pending lattice can then be
-    # delta-patched through updates and WAL replay exactly like a live
-    # one.  Sums may be absent (carried over from an older bundle);
-    # the lattice still loads, updates just drop it to a lazy refresh.
     lattices: dict = {}
     for (width, height, compiler_id), lattice in lattices_by_key.items():
         signature = signature_of.get(compiler_id)
         if signature is not None:
-            lattices.setdefault(
-                (width, height, signature),
-                (lattice, lattice_sums_by_key.get((width, height, compiler_id))),
-            )
+            lattices.setdefault((width, height, signature), lattice)
     for key, lattice in pending_lattices.items():
-        lattices.setdefault(key, (lattice, pending_lattice_sums.get(key)))
-    for (width, height, signature), (lattice, sums) in lattices.items():
+        lattices.setdefault(key, lattice)
+    for (width, height, signature), lattice in lattices.items():
         j = len(meta["lattices"])
         meta["lattices"].append(
-            {
-                "width": width,
-                "height": height,
-                "signature": signature,
-                "has_sums": sums is not None,
-            }
+            {"width": width, "height": height, "signature": signature}
         )
         for part, arr in zip(("x0", "y0", "lo", "hi"), lattice):
             arrays[f"lat_{j}_{part}"] = arr
-        if sums is not None:
-            arrays[f"lat_{j}_full"], arrays[f"lat_{j}_over"] = sums
 
     # repro: ignore[RPL004] -- bundle 'meta' member inside the .npz binary
     # format; floats in it are never non-finite (sizes, epochs, accuracies)
@@ -296,19 +272,21 @@ def load_session(
             )
         meta = json.loads(str(bundle["meta"][()]))
         version = meta.get("format_version")
-        if version not in _READABLE_VERSIONS:
+        if version != FORMAT_VERSION:
+            if isinstance(version, int) and version > FORMAT_VERSION:
+                written_by = "a newer build -- upgrade, or rebuild it"
+            else:
+                written_by = "an older build -- rebuild it"
             raise ValueError(
                 f"session bundle {path!s} has format version {version}; this "
-                f"build reads versions {_READABLE_VERSIONS[0]}-"
-                f"{_READABLE_VERSIONS[-1]}.  The bundle was written by a newer "
-                "build -- upgrade, or rebuild it with `repro index-build`"
+                f"build reads version {FORMAT_VERSION} only.  The bundle was "
+                f"written by {written_by} with `repro index-build`"
             )
         fingerprint = dataset_fingerprint(dataset)
         if fingerprint != meta["fingerprint"]:
-            saved_epoch = meta.get("epoch", 0)
             raise ValueError(
                 f"session bundle {path!s} was built over a different dataset "
-                f"(saved n={meta['fingerprint']['n']} at epoch {saved_epoch}, "
+                f"(saved n={meta['fingerprint']['n']} at epoch {meta['epoch']}, "
                 f"got n={fingerprint['n']}); the bundle is stale if the "
                 "dataset has been mutated since -- re-save the live session "
                 "or rebuild with `repro index-build`"
@@ -318,23 +296,23 @@ def load_session(
             granularity=tuple(int(g) for g in meta["granularity"]),
             settings=settings or SearchSettings(**meta["settings"]),
         )
-        # Resume the mutation counter where the saved session left off
-        # (pre-v2 bundles predate epochs and resume at 0).
-        session.epoch = int(meta.get("epoch", 0))
+        # Resume the mutation counter where the saved session left off.
+        session.epoch = int(meta["epoch"])
         if "index" in meta:
             index_arrays = {
                 name[len("index_"):]: bundle[name]
                 for name in bundle.files
                 if name.startswith("index_")
             }
-            session._index = GridIndex.restore(dataset, meta["index"], index_arrays)
-            if session._index._categorical_cells is None:
-                # Pre-v2 bundle: the restored index answers queries
-                # identically but holds no cell sums to patch, so the
-                # session refuses append/delete/apply with a targeted
-                # error naming this version (engine/updates.py) instead
-                # of proceeding on missing state.
-                session._nonpatchable_restore = int(version)
+            try:
+                session._index = GridIndex.restore(
+                    dataset, meta["index"], index_arrays
+                )
+            except KeyError as exc:
+                raise ValueError(
+                    f"session bundle {path!s} has an incomplete index (no "
+                    f"{exc.args[0]!r}); rebuild it with `repro index-build`"
+                ) from None
         for j, entry in enumerate(meta["reductions"]):
             block = bundle[f"red_{j}"]
             key = (float(entry["width"]), float(entry["height"]), entry["anchor"])
@@ -354,10 +332,5 @@ def load_session(
             session._pending_lattices[key] = tuple(
                 bundle[f"lat_{j}_{part}"] for part in ("x0", "y0", "lo", "hi")
             )
-            if entry.get("has_sums") and f"lat_{j}_full" in bundle.files:
-                session._pending_lattice_sums[key] = (
-                    bundle[f"lat_{j}_full"],
-                    bundle[f"lat_{j}_over"],
-                )
-        session.bundle_version = int(version)
+        session.bundle_version = FORMAT_VERSION
     return session

@@ -21,7 +21,6 @@ when one session alone exceeds the budget.
 from __future__ import annotations
 
 import os
-import warnings
 from collections import OrderedDict
 from typing import Hashable, Tuple
 
@@ -95,11 +94,9 @@ class SessionPool:
         onto the fresh session first (crash recovery: stale bundle +
         log -> live state).  Every access marks the session most
         recently used.  The byte budget is re-measured by
-        :meth:`solve` / :meth:`solve_batch`, not by this accessor --
-        growth through solves made directly on the returned session
-        object is only picked up at the next pool solve for its key, so
-        route queries through the pool when the budget must track every
-        one.
+        :meth:`reaccount` and the mutation calls, not by this accessor
+        -- call :meth:`reaccount` after solving on the returned session
+        object when the budget must track the growth.
         """
         with self._lock:
             session = self._sessions.get(key)
@@ -204,42 +201,6 @@ class SessionPool:
         """
         with self._lock:
             self._enforce_budget(touched=key)
-
-    def solve(self, key: Hashable, query, dataset=None, **kwargs):
-        """Deprecated: solve one query on the keyed session.
-
-        .. deprecated::
-            The kwargs pass-through serving surface moved to the typed
-            facade -- route queries through
-            :meth:`repro.service.RegionService.query`, or call
-            ``session(key).solve(...)`` followed by
-            :meth:`reaccount`.  Kept as a thin shim so existing callers
-            keep working; behavior is unchanged (budget re-checked
-            after the solve).
-        """
-        warnings.warn(
-            "SessionPool.solve is deprecated; route queries through "
-            "repro.service.RegionService.query, or use "
-            "pool.session(key).solve(...) + pool.reaccount(key)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.session(key, dataset).solve(query, **kwargs)
-        self.reaccount(key)
-        return result
-
-    def solve_batch(self, key: Hashable, queries, dataset=None, **kwargs) -> list:
-        """Deprecated batch counterpart of :meth:`solve` (same shim)."""
-        warnings.warn(
-            "SessionPool.solve_batch is deprecated; route queries through "
-            "repro.service.RegionService.query_batch, or use "
-            "pool.session(key).solve_batch(...) + pool.reaccount(key)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        results = self.session(key, dataset).solve_batch(queries, **kwargs)
-        self.reaccount(key)
-        return results
 
     def apply(self, key: Hashable, batch, dataset=None):
         """Mutate the keyed session via :meth:`QuerySession.apply`.

@@ -124,8 +124,8 @@ def aggregator_recipe(aggregator: CompositeAggregator) -> list | None:
     """A JSON-serializable rebuild recipe for an aggregator, or ``None``.
 
     Signatures identify persisted artefacts but are opaque; the recipe
-    is their *invertible* sibling: format-v3 bundles store it next to
-    each channel table so an incremental update (or a WAL replay) can
+    is their *invertible* sibling: bundles store it next to each
+    channel table so an incremental update (or a WAL replay) can
     reconstruct a structurally identical aggregator and patch the
     pending table's cell sums before any live aggregator object has
     adopted it (engine/updates.py).  ``None`` when a term is not
@@ -248,14 +248,8 @@ class QuerySession:
         #: Bundle format version this session was restored from
         #: (``load_session`` sets it; ``None`` for a cold session).
         #: Purely diagnostic -- ``cache_info()``/``SessionPool.info()``
-        #: surface it so operators can spot pre-current bundles.
+        #: surface it so operators can tell restored sessions apart.
         self.bundle_version: int | None = None
-        #: Set by ``load_session`` when the restored index carries no
-        #: pre-suffix cell sums (a pre-v2 bundle): the session serves
-        #: queries but refuses mutation with a targeted error naming
-        #: the bundle version (engine/updates.py); ``clear_caches``
-        #: resets it (the index then rebuilds from the live dataset).
-        self._nonpatchable_restore: int | None = None
         self._pool = BufferPool()
         self._index: GridIndex | None = None
         # Every aggregator/compiler whose id() keys a cache entry is
@@ -269,8 +263,8 @@ class QuerySession:
         self._tables: Dict[int, np.ndarray] = {}
         # Pre-suffix per-cell channel sums, kept next to each suffix
         # table so incremental updates can re-sum only dirty cells
-        # (engine/updates.py).  Entries adopted from disk have no cells
-        # and simply fall back to a lazy recompute on the first update.
+        # (engine/updates.py).  A table adopted from disk without cells
+        # falls back to a lazy recompute on the first update.
         self._table_cells: Dict[int, np.ndarray] = {}
         self._contexts: Dict[int, BoundContext] = {}
         self._empty_reps: Dict[int, np.ndarray] = {}
@@ -281,14 +275,9 @@ class QuerySession:
         # Lattice *geometry* per (width, height): corner arrays plus the
         # Lemma-8 range indices.  Compiler-independent, and preserved
         # across in-bounds incremental updates (the index geometry does
-        # not move), so a post-update lattice refresh pays only the
-        # range sums, not the searchsorted geometry pass.
+        # not move), so the lattice refresh after an update pays only
+        # the range sums, not the searchsorted geometry pass.
         self._lattice_geometry: Dict[Tuple[float, float], tuple] = {}
-        # The (full, over) channel range sums each cached lattice was
-        # derived from, kept so incremental updates can delta-patch the
-        # intervals at only the dirty-touched positions
-        # (engine/updates.py, DESIGN.md §10.4).
-        self._lattice_sums: Dict[Tuple[float, float, int], tuple] = {}
         self._cells: Dict[Tuple[float, float, int], dict] = {}
         # Canonical solves' root seeds (dssearch/canonical.py): per
         # (width, height, compiler), a dict from search-piece
@@ -299,18 +288,14 @@ class QuerySession:
         self._root_seeds: Dict[Tuple[float, float, int], dict] = {}
         # Disk-restored artefacts keyed by aggregator *signature* (ids
         # do not survive a process restart); adopted into the id-keyed
-        # caches on first use.  See engine/persist.py.  v3 bundles add
-        # the pre-suffix cell sums and a rebuild recipe per table, so a
-        # restored session stays patchable before adoption.
+        # caches on first use.  See engine/persist.py.  Each table comes
+        # with its pre-suffix cell sums and a rebuild recipe, so a
+        # restored session stays patchable before adoption; updates
+        # drop pending lattices like live ones.
         self._pending_tables: Dict[str, np.ndarray] = {}
         self._pending_table_cells: Dict[str, np.ndarray] = {}
         self._pending_recipes: Dict[str, list] = {}
         self._pending_lattices: Dict[Tuple[float, float, str], tuple] = {}
-        # The (full, over) range sums each pending lattice was derived
-        # from (format-v4 bundles persist them): incremental updates
-        # delta-patch a pending lattice exactly like a live one instead
-        # of dropping it to a full lazy recompute (engine/updates.py).
-        self._pending_lattice_sums: Dict[Tuple[float, float, str], tuple] = {}
         # Concurrency (DESIGN.md §8.1): the index gets a dedicated lock
         # (its build is the one expensive single-shot artefact); every
         # other cache goes through the in-flight-deduplicated _memo.
@@ -412,10 +397,10 @@ class QuerySession:
                     self._pending_tables.get(sig) if sig is not None else None
                 )
                 if pending is not None:
-                    # Adopted from disk.  v3 bundles carry the pre-suffix
-                    # cell sums: install them next to the table so later
-                    # updates patch this entry like a live one (pre-v3
-                    # adoptions have none and recompute cold on the
+                    # Adopted from disk, with the pre-suffix cell sums
+                    # when the bundle has them: install them next to the
+                    # table so later updates patch this entry like a
+                    # live one (without them it recomputes cold on the
                     # first update).
                     cells = self._pending_table_cells.get(sig)
                     if cells is not None:
@@ -458,25 +443,17 @@ class QuerySession:
             if self._pending_lattices:
                 sig = aggregator_signature(compiler.aggregator)
                 if sig is not None:
-                    pending_key = (float(width), float(height), sig)
-                    pending = self._pending_lattices.get(pending_key)
+                    pending = self._pending_lattices.get(
+                        (float(width), float(height), sig)
+                    )
                     if pending is not None:
-                        # Adopted from disk.  v4 bundles carry the range
-                        # sums the intervals were derived from: install
-                        # them so later updates delta-patch this lattice
-                        # like a live one (pre-v4 adoptions have none
-                        # and drop to a full lazy refresh on update).
-                        sums = self._pending_lattice_sums.get(pending_key)
-                        if sums is not None:
-                            with self._memo_lock:
-                                self._lattice_sums[key] = sums
-                        return pending
+                        return pending  # adopted from disk
             geometry = self._memo(
                 self._lattice_geometry,
                 (float(width), float(height)),
                 lambda: candidate_lattice_geometry(self.index, width, height),
             )
-            intervals, sums = candidate_lattice_intervals(
+            return candidate_lattice_intervals(
                 self.index,
                 compiler,
                 width,
@@ -484,13 +461,7 @@ class QuerySession:
                 tables=self.channel_tables(compiler),
                 ctx=self.context_for(compiler),
                 geometry=geometry,
-                return_sums=True,
             )
-            # Keep the range sums next to the intervals: incremental
-            # updates delta-patch both (engine/updates.py).
-            with self._memo_lock:
-                self._lattice_sums[key] = sums
-            return intervals
 
         return self._memo(self._lattices, key, compute, pin=compiler)
 
@@ -858,17 +829,12 @@ class QuerySession:
             self._reductions.clear()
             self._lattices.clear()
             self._lattice_geometry.clear()
-            self._lattice_sums.clear()
             self._cells.clear()
             self._root_seeds.clear()
             self._pending_tables.clear()
             self._pending_table_cells.clear()
             self._pending_recipes.clear()
             self._pending_lattices.clear()
-            self._pending_lattice_sums.clear()
-            # Dropping a non-patchable restored index lifts the mutation
-            # block: the next build derives cell sums from the dataset.
-            self._nonpatchable_restore = None
 
     def cache_info(self) -> dict:
         """Occupancy of the session caches (for tests and diagnostics).
@@ -932,8 +898,6 @@ class QuerySession:
             total += rects.nbytes
         for lattice in list(self._lattices.values()):
             total += sum(arr_bytes(arr) for arr in lattice)
-        for sums in list(self._lattice_sums.values()):
-            total += sum(arr_bytes(arr) for arr in sums)
         for cells in list(self._pending_table_cells.values()):
             total += arr_bytes(cells)
         for geometry in list(self._lattice_geometry.values()):
@@ -945,8 +909,6 @@ class QuerySession:
             total += arr_bytes(table)
         for lattice in list(self._pending_lattices.values()):
             total += sum(arr_bytes(arr) for arr in lattice)
-        for sums in list(self._pending_lattice_sums.values()):
-            total += sum(arr_bytes(arr) for arr in sums)
         for cells in [*self._cells.values(), *self._root_seeds.values()]:
             for entry in list(cells.values()):
                 if not entry:

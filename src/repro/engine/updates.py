@@ -19,12 +19,10 @@ actually touched:
 * channel suffix tables are re-summed only at dirty cells from the
   retained pre-suffix cell sums;
 * ASP reductions are row-patched and their GPS accuracies recomputed;
-* candidate-lattice intervals are *delta-patched* (DESIGN.md §10.4):
-  only positions whose Lemma-8 cell range saw a dirty cell get their
-  range sums and bounds recomputed, the rest keep bitwise-identical
-  cached values -- falling back to a full lazy refresh when the index
-  geometry shifts or the compiler's bound context moves;
-* signature-keyed pending artefacts restored from a v3 bundle are
+* candidate-lattice intervals, live and restored, are dropped: the next
+  solve re-derives them from the patched channel table and the kept
+  lattice geometry (DESIGN.md §10.4);
+* signature-keyed pending channel tables restored from a bundle are
   patched through recipe-reconstructed compilers, so a replayed restore
   never pays a cold channel-table rebuild;
 * per-cell level-0 accumulations survive unless a changed rectangle
@@ -56,11 +54,10 @@ import numpy as np
 from .. import faults
 from ..asp.rectset import RectSet
 from ..asp.reduction import reduce_to_asp
-from ..core.aggregators import AverageAggregator
-from ..core.channels import BoundContext, ChannelCompiler
+from ..core.channels import ChannelCompiler
 from ..core.objects import SpatialDataset
 from ..dssearch.drop import gps_accuracy
-from ..index.summary import cell_sums_to_suffix_table, range_sums
+from ..index.summary import cell_sums_to_suffix_table
 from .wal import WalRollbackError, WalWriteError
 
 #: Fires between the durable WAL append and the in-memory apply: a
@@ -106,23 +103,17 @@ class UpdateStats:
     pending_tables_patched: int = 0
     pending_tables_dropped: int = 0
     reductions_patched: int = 0
+    lattices_dropped: int = 0  # live and pending
+    # Always 0 (updates drop every lattice); the serve benchmark's
+    # trace bootstrap still reads both on every apply_update.
     lattices_patched: int = 0
-    lattices_dropped: int = 0
-    pending_lattices_patched: int = 0
-    pending_lattices_dropped: int = 0
     lattice_positions_refreshed: int = 0
     cell_entries_kept: int = 0
     cell_entries_dropped: int = 0
     wal_logged: bool = False
 
 
-def apply_update(
-    session,
-    batch: UpdateBatch,
-    *,
-    log: bool = True,
-    delta_lattice: bool = True,
-) -> UpdateStats:
+def apply_update(session, batch: UpdateBatch, *, log: bool = True) -> UpdateStats:
     """Mutate a session's dataset in place, patching its warm state.
 
     Exclusive with solves via the session's update gate; see the module
@@ -130,30 +121,13 @@ def apply_update(
     attached and ``log`` is true (the default), the batch is durably
     logged *before* any state mutates -- :func:`~repro.engine.wal.replay`
     passes ``log=False`` so re-applied records are not re-logged.
-    ``delta_lattice=False`` forces the cached lattice intervals to drop
-    (full lazy refresh) instead of being delta-patched; answers are
-    bitwise-identical either way (benchmarks use it as the baseline).
     Returns an :class:`UpdateStats`.
     """
     with session._update_gate.exclusive():
-        return _apply_exclusive(
-            session, batch, log=log, delta_lattice=delta_lattice
-        )
+        return _apply_exclusive(session, batch, log=log)
 
 
-def _apply_exclusive(
-    session, batch: UpdateBatch, *, log: bool, delta_lattice: bool
-) -> UpdateStats:
-    restored_version = getattr(session, "_nonpatchable_restore", None)
-    if restored_version is not None:
-        raise ValueError(
-            "this session was restored from a format "
-            f"v{restored_version} bundle, which carries no pre-suffix cell "
-            "sums; it can serve queries but not accept append/delete/apply.  "
-            "Rebuild the bundle with `repro index-build` (current format), "
-            "or call clear_caches() to drop the restored index and rebuild "
-            "from the dataset"
-        )
+def _apply_exclusive(session, batch: UpdateBatch, *, log: bool) -> UpdateStats:
     old_ds: SpatialDataset = session.dataset
     append_ds = batch.append_dataset(old_ds.schema)
     if append_ds is not None and append_ds.schema != old_ds.schema:
@@ -201,9 +175,7 @@ def _apply_exclusive(
         stats.wal_logged = True
     try:
         faults.failpoint(FP_POST_LOG)
-        return _derive_and_swap(
-            session, append_ds, kept, stats, delta_lattice=delta_lattice
-        )
+        return _derive_and_swap(session, append_ds, kept, stats)
     except BaseException as primary:
         if wal is not None:
             try:
@@ -227,8 +199,6 @@ def _derive_and_swap(
     append_ds: SpatialDataset | None,
     kept: np.ndarray,
     stats: UpdateStats,
-    *,
-    delta_lattice: bool,
 ) -> UpdateStats:
     old_ds: SpatialDataset = session.dataset
     n_deleted = stats.deleted
@@ -254,15 +224,15 @@ def _derive_and_swap(
         old_contexts = dict(session._contexts)
         old_empty_reps = dict(session._empty_reps)
         old_reductions = dict(session._reductions)
-        old_lattices = dict(session._lattices)
-        old_lattice_sums = dict(session._lattice_sums)
-        old_geometry = dict(session._lattice_geometry)
         old_cell_caches = dict(session._cells)
         old_pending_tables = dict(session._pending_tables)
         old_pending_cells = dict(session._pending_table_cells)
         old_pending_recipes = dict(session._pending_recipes)
-        old_pending_lattices = dict(session._pending_lattices)
-        old_pending_lattice_sums = dict(session._pending_lattice_sums)
+        # Every cached lattice, live or pending, is dropped below and
+        # re-derived lazily from the patched table by the next solve.
+        stats.lattices_dropped = len(session._lattices) + len(
+            session._pending_lattices
+        )
     old_index = session._index
     new_index = None
     dirty_flat = members = local = None
@@ -369,13 +339,13 @@ def _derive_and_swap(
             )
         changed_rects[(width, height, anchor)] = np.concatenate(changed, axis=1)
 
-    # Disk-restored artefacts not yet adopted by a live aggregator
+    # Disk-restored channel tables not yet adopted by a live aggregator
     # object (signature-keyed "pendings", DESIGN.md §10.3): patch them
     # too, or a replay onto a freshly loaded bundle would drop every
-    # persisted channel table and pay the cold rebuild the v3 format
-    # exists to avoid.  A pending whose signature matches a live
-    # compiler simply aliases that compiler's patched artefacts; the
-    # rest are patched through a compiler reconstructed from the
+    # persisted channel table and pay the cold rebuild the persisted
+    # cell sums exist to avoid.  A pending whose signature matches a
+    # live compiler simply aliases that compiler's patched artefacts;
+    # the rest are patched through a compiler reconstructed from the
     # persisted recipe, compiled over *only* the dirty-cell member rows
     # (channel weights are per-row functions of the columns, so the
     # member-subset compile is bitwise the full compile's member rows).
@@ -384,13 +354,12 @@ def _derive_and_swap(
     new_pending_tables: dict = {}
     new_pending_cells: dict = {}
     new_pending_recipes: dict = {}
-    live_by_sig: dict = {}
-    if old_pending_tables or old_pending_lattices:
+    if old_pending_tables:
+        live_by_sig: dict = {}
         for new_comp in new_compilers.values():
             sig = aggregator_signature(new_comp.aggregator)
             if sig is not None:
                 live_by_sig.setdefault(sig, new_comp)
-    if old_pending_tables:
         members_ds = None
         for sig, _ in old_pending_tables.items():
             live = live_by_sig.get(sig)
@@ -422,135 +391,6 @@ def _derive_and_swap(
             new_pending_tables[sig] = cell_sums_to_suffix_table(patched_cells)
             new_pending_recipes[sig] = recipe
             stats.pending_tables_patched += 1
-
-    # Candidate lattices: their (full, over) channel range sums only
-    # change at lattice positions whose Lemma-8 cell range has a dirty
-    # cell in its corner quadrant (DESIGN.md §10.4); everything else is
-    # bitwise what a recompute from the patched table would produce.
-    # Patch those positions in place instead of recomputing O(lattice·C)
-    # per update -- falling back to a full (lazy) refresh when the index
-    # geometry shifted, the cached sums are missing (e.g. adopted from
-    # disk), or the compiler's bound context moved (average-term bounds
-    # depend on it at every position).
-    new_lattices: dict = {}
-    new_lattice_sums: dict = {}
-    if delta_lattice and new_index is not None and old_lattices:
-        changed_map = _changed_corner_map(new_index, dirty_flat)
-        for (width, height, old_cid), lattice in old_lattices.items():
-            new_comp = remap.get(old_cid)
-            sums = old_lattice_sums.get((width, height, old_cid))
-            geometry = old_geometry.get((width, height))
-            old_ctx = old_contexts.get(old_cid)
-            if (
-                new_comp is None
-                or sums is None
-                or geometry is None
-                or old_ctx is None
-                or id(new_comp) not in new_tables
-            ):
-                stats.lattices_dropped += 1
-                continue
-            new_ctx = new_contexts[id(new_comp)]
-            if old_ctx != new_ctx:
-                stats.lattices_dropped += 1
-                continue
-            patched = _patch_lattice(
-                lattice,
-                sums,
-                geometry,
-                changed_map,
-                new_tables[id(new_comp)],
-                new_comp,
-                new_ctx,
-            )
-            if patched is None:  # too many touched positions: not worth it
-                stats.lattices_dropped += 1
-                continue
-            key = (width, height, id(new_comp))
-            new_lattices[key], new_lattice_sums[key], refreshed = patched
-            stats.lattices_patched += 1
-            stats.lattice_positions_refreshed += refreshed
-    else:
-        stats.lattices_dropped = len(old_lattices)
-
-    # Pending lattices restored from a v4 bundle but not yet adopted by
-    # a live aggregator: patch them like live ones, or a WAL replay onto
-    # a fresh restore would drop every persisted lattice to the full
-    # lazy recompute the persisted range sums exist to avoid.  The
-    # interval bounds are recomputed through a *structural* compiler
-    # rebuilt from the persisted recipe (``bounds_from_sums`` reads only
-    # the term layout, never the weights, so an empty-row compile is
-    # bitwise the live one) against the already-patched pending table;
-    # the bound-context gate compares extremes computed straight from
-    # the recipe's selections over the old and new datasets, which is
-    # bitwise ``ChannelCompiler.make_context`` on either side.
-    new_pending_lattices: dict = {}
-    new_pending_lattice_sums: dict = {}
-    computed_geometry: dict = {}
-    if delta_lattice and new_index is not None and old_pending_lattices:
-        from ..index.gids import candidate_lattice_geometry
-
-        changed_map = _changed_corner_map(new_index, dirty_flat)
-        ctx_cache: dict = {}
-        for (width, height, sig), lattice in old_pending_lattices.items():
-            live = live_by_sig.get(sig)
-            if live is not None:
-                live_key = (width, height, id(live))
-                if live_key in new_lattices:
-                    # The live compiler's patched lattice IS this one.
-                    key = (width, height, sig)
-                    new_pending_lattices[key] = new_lattices[live_key]
-                    new_pending_lattice_sums[key] = new_lattice_sums[live_key]
-                    stats.pending_lattices_patched += 1
-                    continue
-            sums = old_pending_lattice_sums.get((width, height, sig))
-            recipe = (
-                new_pending_recipes.get(sig) or old_pending_recipes.get(sig)
-            )
-            table = new_pending_tables.get(sig)
-            if sums is None or recipe is None or table is None:
-                stats.pending_lattices_dropped += 1
-                continue
-            cached = ctx_cache.get(sig)
-            if cached is None:
-                try:
-                    aggregator = aggregator_from_recipe(recipe)
-                    old_ctx = _recipe_context(old_ds, aggregator)
-                    new_ctx = _recipe_context(new_ds, aggregator)
-                    stub = ChannelCompiler(
-                        new_ds.subset(np.empty(0, dtype=np.int64)), aggregator
-                    )
-                except (KeyError, ValueError, TypeError):
-                    cached = ctx_cache[sig] = (None, None, None)
-                else:
-                    cached = ctx_cache[sig] = (old_ctx, new_ctx, stub)
-            old_ctx, new_ctx, stub = cached
-            if stub is None or old_ctx != new_ctx:
-                stats.pending_lattices_dropped += 1
-                continue
-            geometry = old_geometry.get((width, height)) or computed_geometry.get(
-                (width, height)
-            )
-            if geometry is None:
-                # Deterministic from the (geometry-preserving) patched
-                # index, so computing it here is bitwise the cached one.
-                geometry = computed_geometry[
-                    (width, height)
-                ] = candidate_lattice_geometry(new_index, width, height)
-            patched = _patch_lattice(
-                lattice, sums, geometry, changed_map, table, stub, new_ctx
-            )
-            if patched is None:
-                stats.pending_lattices_dropped += 1
-                continue
-            key = (width, height, sig)
-            new_pending_lattices[key], new_pending_lattice_sums[key], refreshed = (
-                patched
-            )
-            stats.pending_lattices_patched += 1
-            stats.lattice_positions_refreshed += refreshed
-    else:
-        stats.pending_lattices_dropped = len(old_pending_lattices)
 
     # Per-cell level-0 accumulations: keep entries no changed rectangle
     # overlaps (their active set, gathered coordinates and accumulation
@@ -596,14 +436,11 @@ def _derive_and_swap(
         session._contexts = new_contexts
         session._empty_reps = new_empty_reps
         session._reductions = new_reductions
-        session._lattices = new_lattices
-        session._lattice_sums = new_lattice_sums
+        session._lattices = {}
         if new_index is None:
             # The index geometry may shift on a cold rebuild; the cached
             # lattice geometry is only valid while it is preserved.
             session._lattice_geometry = {}
-        else:
-            session._lattice_geometry.update(computed_geometry)
         session._cells = new_cells
         # Root seeds hold whole-piece accumulations and pieces follow
         # the rectangle bounds: dropped, and refilled by the next solve.
@@ -611,8 +448,7 @@ def _derive_and_swap(
         session._pending_tables = new_pending_tables
         session._pending_table_cells = new_pending_cells
         session._pending_recipes = new_pending_recipes
-        session._pending_lattices = new_pending_lattices
-        session._pending_lattice_sums = new_pending_lattice_sums
+        session._pending_lattices = {}
         session._pins = {
             agg_id: old_pins[agg_id]
             for agg_id in set(new_compilers) | set(new_empty_reps)
@@ -622,103 +458,6 @@ def _derive_and_swap(
         session.epoch += 1
         stats.epoch = session.epoch
     return stats
-
-
-def _recipe_context(dataset: SpatialDataset, aggregator) -> BoundContext:
-    """The full-dataset bound context of a recipe-rebuilt aggregator.
-
-    Bitwise :meth:`ChannelCompiler.make_context` -- same raw column,
-    same selection mask, same min/max -- but without compiling the
-    weight matrix, so pending-lattice patching can gate on context
-    movement at O(n) per average term instead of a full O(n·C) compile.
-    """
-    extremes: dict = {}
-    for index, term in enumerate(aggregator.terms):
-        if not isinstance(term, AverageAggregator):
-            continue
-        sel = term.selection.mask(dataset)
-        chosen = dataset.column(term.attribute)[sel]
-        if chosen.size:
-            extremes[index] = (float(chosen.min()), float(chosen.max()))
-    return BoundContext(extremes)
-
-
-def _changed_corner_map(index, dirty_flat: np.ndarray) -> np.ndarray:
-    """Boolean ``(sx+1, sy+1)`` map: suffix-table corners whose value moved.
-
-    The suffix table ``T[i, j]`` sums cells ``i' >= i, j' >= j``, so a
-    dirty cell at ``(di, dj)`` perturbs exactly the corners in its
-    south-west quadrant ``i <= di, j <= dj`` -- a suffix-OR over the
-    dirty mask.  A Lemma-8 range sum reads four corners of which
-    ``(col_lo, row_lo)`` has the smallest indices; if *that* corner is
-    unchanged, all four are, and the range sum recomputed from the new
-    table is bitwise the cached one (same operand bits, same formula,
-    and the suffix cumsum re-accumulates unchanged quadrants over
-    identical values in identical order).
-    """
-    changed = np.zeros((index.sx + 1, index.sy + 1), dtype=bool)
-    changed[dirty_flat // index.sy, dirty_flat % index.sy] = True
-    changed[::-1] = np.logical_or.accumulate(changed[::-1], axis=0)
-    changed[:, ::-1] = np.logical_or.accumulate(changed[:, ::-1], axis=1)
-    return changed
-
-
-#: Touched-position fraction above which a delta lattice refresh stops
-#: paying for itself: the subset gathers + array copies then cost more
-#: than the one vectorized full recompute the lazy path performs, so
-#: the update drops the lattice instead.  Scattered bulk updates (dirty
-#: cells all over the grid) land here; localized streams stay below it.
-DELTA_LATTICE_MAX_TOUCHED = 0.5
-
-
-def _patch_lattice(
-    lattice: tuple,
-    sums: tuple,
-    geometry: tuple,
-    changed_map: np.ndarray,
-    table: np.ndarray,
-    compiler: ChannelCompiler,
-    ctx,
-) -> tuple | None:
-    """Delta-refresh one cached lattice: ``(intervals, sums, n_refreshed)``.
-
-    Recomputes the (full, over) range sums and the derived interval
-    bounds only at lattice positions whose cell-range corner moved
-    (see :func:`_changed_corner_map`); every other position keeps values
-    that are bitwise what a full recompute from ``table`` would yield.
-    The bounds arithmetic (``bounds_from_sums``) is elementwise per
-    position, so computing it on the touched subset and splicing is
-    bitwise the full-lattice computation.  Returns ``None`` when too
-    many positions are touched (:data:`DELTA_LATTICE_MAX_TOUCHED`) --
-    the caller drops the lattice to the (equally bitwise-faithful)
-    lazy full refresh instead of paying delta overhead for no gain.
-    """
-    x0, y0, lo, hi = lattice
-    full_sums, over_sums = sums
-    _, _, over_ranges, full_ranges = geometry
-    oc_lo, oc_hi, or_lo, or_hi = over_ranges
-    fc_lo, fc_hi, fr_lo, fr_hi = full_ranges
-    # range_sums collapses empty ranges through min(lo, hi); test the
-    # corner the formula actually reads.
-    touched = changed_map[np.minimum(oc_lo, oc_hi), np.minimum(or_lo, or_hi)]
-    touched |= changed_map[np.minimum(fc_lo, fc_hi), np.minimum(fr_lo, fr_hi)]
-    idx = np.flatnonzero(touched)
-    if idx.size == 0:
-        return (x0, y0, lo, hi), (full_sums, over_sums), 0
-    if idx.size > DELTA_LATTICE_MAX_TOUCHED * touched.size:
-        return None
-    sub_full = range_sums(table, fc_lo[idx], fc_hi[idx], fr_lo[idx], fr_hi[idx])
-    sub_over = range_sums(table, oc_lo[idx], oc_hi[idx], or_lo[idx], or_hi[idx])
-    new_full = full_sums.copy()
-    new_over = over_sums.copy()
-    new_full[idx] = sub_full
-    new_over[idx] = sub_over
-    sub_lo, sub_hi = compiler.bounds_from_sums(sub_full, sub_over, ctx)
-    new_lo = lo.copy()
-    new_hi = hi.copy()
-    new_lo[idx] = sub_lo
-    new_hi[idx] = sub_hi
-    return (x0, y0, new_lo, new_hi), (new_full, new_over), int(idx.size)
 
 
 def _surviving_cell_entries(

@@ -125,7 +125,6 @@ class ReplayStats:
     deleted: int = 0
     final_epoch: int = 0
     pending_tables_patched: int = 0
-    lattices_patched: int = 0
 
 
 @dataclass
@@ -848,9 +847,9 @@ def replay(
     merge :meth:`WriteAheadLog.compact` uses) and re-applied through
     the normal update path in a single index patch, so the recovered
     session is bitwise-identical to a cold session on the final dataset
-    while paying one patch pass regardless of log length -- and, for a
-    format-v3 bundle, no cold channel-table rebuild happens along the
-    way (pending per-compiler cell sums are patched in place).
+    while paying one patch pass regardless of log length -- and no cold
+    channel-table rebuild happens along the way (pending per-compiler
+    cell sums are patched in place).
 
     A torn tail (crash mid-append) is truncated off the file when
     ``repair`` is True (the default) and never raises.  A *gap* -- the
@@ -964,9 +963,6 @@ def replay(
         stats.appended += ustats.appended
         stats.deleted += ustats.deleted
         stats.pending_tables_patched += ustats.pending_tables_patched
-        stats.lattices_patched += (
-            ustats.lattices_patched + ustats.pending_lattices_patched
-        )
         if session.epoch != base_epoch + span:
             # The merged batch stands for `span` original updates (the
             # apply bumped the epoch once, or -- for a net-no-op merge

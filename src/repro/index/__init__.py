@@ -1,4 +1,4 @@
-"""Grid index, aggregate R-tree, and the GI-DS search (Section 5)."""
+"""Grid index and the GI-DS search (Section 5)."""
 
 from .gids import (
     GIDSStats,
@@ -7,12 +7,9 @@ from .gids import (
     gi_ds_search,
 )
 from .grid_index import GridIndex
-from .rtree import AggregateRTree, AugmentedRTree
 from .summary import cell_sums_to_suffix_table, range_sums
 
 __all__ = [
-    "AggregateRTree",
-    "AugmentedRTree",
     "GIDSStats",
     "GridIndex",
     "candidate_cell_arrays",

@@ -110,7 +110,6 @@ def candidate_lattice_intervals(
     tables: np.ndarray | None = None,
     ctx: BoundContext | None = None,
     geometry: tuple | None = None,
-    return_sums: bool = False,
 ):
     """Target-independent half of the candidate-cell bounds.
 
@@ -122,11 +121,7 @@ def candidate_lattice_intervals(
     query's lattice work to one ``lower_bound_many`` call.  ``geometry``
     optionally injects a memoized :func:`candidate_lattice_geometry`
     result (the searchsorted range arrays are the expensive part that
-    survives an incremental dataset update).  ``return_sums=True``
-    additionally returns the per-cell ``(full, over)`` channel range
-    sums as a second tuple -- a session keeps them so an incremental
-    update can delta-patch the intervals (DESIGN.md §10.4) instead of
-    re-running this whole O(lattice·C) pass.
+    survives an incremental dataset update).
     """
     if geometry is None:
         geometry = candidate_lattice_geometry(index, width, height)
@@ -139,8 +134,6 @@ def candidate_lattice_intervals(
     if ctx is None:
         ctx = compiler.make_context()
     lo, hi = compiler.bounds_from_sums(full, over, ctx)
-    if return_sums:
-        return (x0, y0, lo, hi), (full, over)
     return x0, y0, lo, hi
 
 

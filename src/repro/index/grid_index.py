@@ -60,10 +60,9 @@ class GridIndex:
         # they are what incremental updates (:meth:`updated`) patch --
         # only dirty cells are re-summed, and re-running the suffix
         # cumsum over bitwise-identical cell sums reproduces the cold
-        # table bit for bit.  ``None`` cell dicts mark an index restored
-        # from a pre-v2 bundle, which cannot be updated in place.
-        self._categorical_cells: Dict[str, np.ndarray] | None = {}
-        self._numeric_cells: Dict[str, np.ndarray] | None = {}
+        # table bit for bit.
+        self._categorical_cells: Dict[str, np.ndarray] = {}
+        self._numeric_cells: Dict[str, np.ndarray] = {}
         self._categorical_tables: Dict[str, np.ndarray] = {}
         self._numeric_tables: Dict[str, np.ndarray] = {}
         for attr in dataset.schema:
@@ -214,11 +213,8 @@ class GridIndex:
 
         Returns ``None`` when the incremental path cannot be faithful
         and the caller must rebuild cold: the data bounds changed (cell
-        geometry would shift), the mutated dataset is empty, or this
-        index was restored from a pre-v2 bundle without cell sums.
+        geometry would shift) or the mutated dataset is empty.
         """
-        if self._categorical_cells is None or self._numeric_cells is None:
-            return None
         if dataset.n == 0:
             return None
         old_b, new_b = self.dataset.bounds(), dataset.bounds()
@@ -355,8 +351,8 @@ class GridIndex:
             "obj_col": self._obj_col,
             "obj_row": self._obj_row,
         }
-        # Materialize any lazily-deferred suffix tables: a bundle must be
-        # complete (a restored index may lack cell sums to derive them).
+        # Materialize any lazily-deferred suffix tables: a bundle stores
+        # them next to the cell sums, and a restore reads both.
         for name in self._categorical_tables:
             self.categorical_table(name)
         for name in self._numeric_tables:
@@ -365,14 +361,11 @@ class GridIndex:
             arrays[f"cat_{i}"] = table
         for i, table in enumerate(self._numeric_tables.values()):
             arrays[f"num_{i}"] = table
-        # Pre-suffix cell sums (format v2): what incremental updates
-        # patch.  Absent from pre-v2 bundles; a restore without them
-        # yields a valid but non-updatable index.
-        if self._categorical_cells is not None and self._numeric_cells is not None:
-            for i, cells in enumerate(self._categorical_cells.values()):
-                arrays[f"cat_cells_{i}"] = cells
-            for i, cells in enumerate(self._numeric_cells.values()):
-                arrays[f"num_cells_{i}"] = cells
+        # Pre-suffix cell sums: what incremental updates patch.
+        for i, cells in enumerate(self._categorical_cells.values()):
+            arrays[f"cat_cells_{i}"] = cells
+        for i, cells in enumerate(self._numeric_cells.values()):
+            arrays[f"num_cells_{i}"] = cells
         return meta, arrays
 
     @staticmethod
@@ -385,6 +378,7 @@ class GridIndex:
         that ``dataset`` is the dataset the snapshot was taken over;
         every restored array is bit-for-bit the saved one, so a restored
         index answers queries identically to the index it snapshots.
+        Raises ``KeyError`` when a member array or meta field is missing.
         """
         index = object.__new__(GridIndex)
         index.dataset = dataset
@@ -403,24 +397,14 @@ class GridIndex:
         index._numeric_tables = {
             name: arrays[f"num_{i}"] for i, name in enumerate(meta["numeric"])
         }
-        has_cells = all(
-            f"cat_cells_{i}" in arrays for i in range(len(meta["categorical"]))
-        ) and all(f"num_cells_{i}" in arrays for i in range(len(meta["numeric"])))
-        if has_cells:
-            index._categorical_cells = {
-                name: arrays[f"cat_cells_{i}"]
-                for i, name in enumerate(meta["categorical"])
-            }
-            index._numeric_cells = {
-                name: arrays[f"num_cells_{i}"]
-                for i, name in enumerate(meta["numeric"])
-            }
-        else:
-            # Pre-v2 bundle: the index answers queries identically but
-            # cannot be patched in place; updated() returns None and
-            # mutation falls back to a cold rebuild.
-            index._categorical_cells = None
-            index._numeric_cells = None
+        index._categorical_cells = {
+            name: arrays[f"cat_cells_{i}"]
+            for i, name in enumerate(meta["categorical"])
+        }
+        index._numeric_cells = {
+            name: arrays[f"num_cells_{i}"]
+            for i, name in enumerate(meta["numeric"])
+        }
         return index
 
     # ------------------------------------------------------------------
@@ -435,9 +419,8 @@ class GridIndex:
                 if table is not None:  # lazily-deferred after an update
                     total += table.nbytes
         for cells_dict in (self._categorical_cells, self._numeric_cells):
-            if cells_dict is not None:
-                for cells in cells_dict.values():
-                    total += cells.nbytes
+            for cells in cells_dict.values():
+                total += cells.nbytes
         return total
 
     def __repr__(self) -> str:

@@ -6,6 +6,7 @@ pays the index build again, and refuses to serve a dataset it was not
 built over.
 """
 
+import json
 import zipfile
 
 import numpy as np
@@ -227,8 +228,6 @@ class TestValidation:
             load_session(path, dataset)
 
     def test_format_version_rejected(self, tmp_path):
-        import json
-
         dataset, _, _ = _instance(17, 10)
         session = QuerySession(dataset, settings=SMALL)
         path = tmp_path / "session.idx"
@@ -257,24 +256,29 @@ class TestValidation:
         assert dataset_fingerprint(dataset) != dataset_fingerprint(tweaked)
 
 
+def _rewrite_bundle(path, mutate, drop_arrays=()):
+    """Re-zip a bundle with ``np.savez_compressed`` after editing it.
+
+    Members whose names start with a ``drop_arrays`` prefix are left
+    out; ``mutate(meta, arrays)`` then edits the meta document and the
+    member dict in place.
+    """
+    with np.load(path, allow_pickle=False) as bundle:
+        meta = json.loads(str(bundle["meta"][()]))
+        arrays = {
+            name: bundle[name]
+            for name in bundle.files
+            if not any(name.startswith(p) for p in drop_arrays)
+        }
+    mutate(meta, arrays)
+    arrays["meta"] = np.array(json.dumps(meta))
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+
+
 class TestFormatV2:
-    """v2 bundles: dataset epoch + index cell sums (incremental updates)."""
-
-    @staticmethod
-    def _rewrite_meta(path, mutate, drop_arrays=()):
-        import json
-
-        with np.load(path, allow_pickle=False) as bundle:
-            meta = json.loads(str(bundle["meta"][()]))
-            arrays = {
-                name: bundle[name]
-                for name in bundle.files
-                if not any(name.startswith(p) for p in drop_arrays)
-            }
-        mutate(meta)
-        arrays["meta"] = np.array(json.dumps(meta))
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+    """Dataset epochs and index cell sums (since v2), and the one
+    readable format version."""
 
     def test_epoch_roundtrips(self, tmp_path):
         from repro.engine import UpdateBatch
@@ -302,88 +306,58 @@ class TestFormatV2:
         with pytest.raises(ValueError, match="epoch 0"):
             load_session(path, session.dataset)
 
-    def test_v1_bundle_read_shim(self, tmp_path):
-        """v1 bundles (no epoch, no cell sums) still load and answer
-        identically; their restored index cannot be patched, so mutation
-        raises a targeted error naming the bundle version instead of
-        proceeding on missing cell sums."""
-        dataset, aggregator, queries = _instance(33, 50)
-        session = QuerySession(dataset, settings=SMALL)
-        expected = session.solve_batch(queries)
+    @pytest.mark.parametrize("version", [None, 0, 1, 2, 3, FORMAT_VERSION + 1])
+    def test_other_versions_refused(self, version, tmp_path):
+        """Only FORMAT_VERSION loads.  A missing or older version is
+        told to rebuild with `repro index-build`; a newer one is also
+        told to upgrade."""
+        dataset, _, _ = _instance(34, 10)
         path = tmp_path / "session.idx"
-        save_session(session, path)
-        self._rewrite_meta(
-            path,
-            lambda meta: (meta.pop("epoch"), meta.update(format_version=1)),
-            drop_arrays=(
-                "index_cat_cells_",
-                "index_num_cells_",
-                "tabcells_",
-            ),
-        )
-        restored = load_session(path, dataset)
-        assert restored.epoch == 0
-        for got, want in zip(restored.solve_batch(queries), expected):
-            assert _same_result(got, want)
-        # Mutation on the non-patchable restore is refused, naming the
-        # version -- not silently degraded.
-        with pytest.raises(ValueError, match="format v1 bundle"):
-            restored.delete(np.array([3]))
-        # The dataset was not touched by the refused mutation.
-        assert restored.dataset.n == dataset.n
-        # clear_caches drops the restored index; the session then
-        # rebuilds from the live dataset and mutates correctly again.
-        restored.clear_caches()
-        stats = restored.delete(np.array([3]))
-        assert stats.deleted == 1
-        cold = QuerySession(restored.dataset, settings=SMALL)
-        for got, want in zip(
-            restored.solve_batch(queries), cold.solve_batch(queries)
-        ):
-            assert _same_result(got, want)
+        save_session(QuerySession(dataset, settings=SMALL), path)
 
-    def test_v2_bundle_still_mutates_with_cold_table_recompute(self, tmp_path):
-        """v2 bundles (index cell sums but no per-compiler table cells)
-        keep the old behavior: updates proceed, dropped channel tables
-        recompute lazily, answers stay identical."""
-        dataset, aggregator, queries = _instance(35, 50)
-        session = QuerySession(dataset, settings=SMALL)
-        session.solve_batch(queries)
-        path = tmp_path / "session.idx"
-        save_session(session, path)
-        self._rewrite_meta(
-            path,
-            lambda meta: (
-                meta.update(format_version=2),
-                [(e.pop("has_cells", None), e.pop("recipe", None)) for e in meta["tables"]],
-            ),
-            drop_arrays=("tabcells_",),
-        )
-        restored = load_session(path, dataset)
-        assert not restored._pending_table_cells
-        stats = restored.delete(np.array([2, 4]))
-        assert stats.index_patched  # index cell sums are v2 state
-        assert stats.pending_tables_dropped == 1  # no cells -> lazy cold
-        cold = QuerySession(restored.dataset, settings=SMALL)
-        for got, want in zip(
-            restored.solve_batch(queries), cold.solve_batch(queries)
-        ):
-            assert _same_result(got, want)
+        def set_version(meta, arrays):
+            if version is None:
+                del meta["format_version"]
+            else:
+                meta["format_version"] = version
+
+        _rewrite_bundle(path, set_version)
+        with pytest.raises(ValueError, match=f"format version {version};") as info:
+            load_session(path, dataset)
+        message = str(info.value)
+        assert "`repro index-build`" in message
+        if version is not None and version > FORMAT_VERSION:
+            assert "written by a newer build -- upgrade" in message
+        else:
+            assert "written by an older build" in message
 
     def test_future_version_message_names_range(self, tmp_path):
         dataset, _, _ = _instance(34, 10)
         session = QuerySession(dataset, settings=SMALL)
         path = tmp_path / "session.idx"
         save_session(session, path)
-        self._rewrite_meta(
-            path, lambda meta: meta.update(format_version=FORMAT_VERSION + 5)
+        _rewrite_bundle(
+            path,
+            lambda meta, arrays: meta.update(format_version=FORMAT_VERSION + 5),
         )
-        with pytest.raises(ValueError, match="written by a newer build"):
+        with pytest.raises(ValueError, match="written by a newer build") as info:
+            load_session(path, dataset)
+        assert f"reads version {FORMAT_VERSION} only" in str(info.value)
+
+    @pytest.mark.parametrize("member", ["index_cat_cells_", "index_num_cells_"])
+    def test_bundle_without_index_cell_sums_refused(self, member, tmp_path):
+        dataset, _, queries = _instance(36, 40)
+        session = QuerySession(dataset, settings=SMALL)
+        session.solve(queries[0])
+        path = tmp_path / "session.idx"
+        save_session(session, path)
+        _rewrite_bundle(path, lambda meta, arrays: None, drop_arrays=(member,))
+        with pytest.raises(ValueError, match="incomplete index"):
             load_session(path, dataset)
 
 
 class TestFormatV3:
-    """v3 bundles: per-compiler table cell sums + rebuild recipes, so a
+    """Per-compiler table cell sums + rebuild recipes (since v3), so a
     restored session accepts updates with no cold channel-table rebuild."""
 
     def test_cells_and_recipe_roundtrip(self, tmp_path):
@@ -466,11 +440,12 @@ class TestFormatV3:
         assert _same_result(restored.solve(query), cold.solve(query))
 
     def test_restored_session_updates_without_cold_table_rebuild(self, tmp_path):
-        """The acceptance contract: mutate a load_session-restored v3
+        """The acceptance contract: mutate a load_session-restored
         session before any aggregator adoption -- the pending channel
         table is patched from its persisted cell sums, and the first
         solve adopts it without ever calling the cold
-        channel_cells_and_table path."""
+        channel_cells_and_table path.  The pending lattices are dropped
+        and re-derived from that table."""
         dataset, aggregator, queries = _instance(43, 80)
         session = QuerySession(dataset, settings=SMALL)
         session.solve_batch(queries)
@@ -478,9 +453,14 @@ class TestFormatV3:
         save_session(session, path)
 
         restored = load_session(path, dataset)
+        n_pending = len(restored._pending_lattices)
+        assert n_pending
         stats = restored.delete(np.array([5, 11, 17]))
+        assert stats.index_patched
         assert stats.pending_tables_patched == 1
         assert stats.pending_tables_dropped == 0
+        assert stats.lattices_dropped == n_pending
+        assert not restored._pending_lattices
 
         calls = []
         original = type(restored.index).channel_cells_and_table
@@ -503,14 +483,13 @@ class TestFormatV3:
 
 
 class TestFormatV4:
-    """v4 bundles persist each lattice's (full, over) range sums, so a
-    restored *pending* lattice rides the delta-aware refresh through
-    updates and replay instead of dropping to a full lazy recompute."""
+    """Lattice intervals persist without their range sums; bundles that
+    also carry them (``has_sums`` and ``lat_*_full``/``lat_*_over``,
+    as earlier v4 writers emitted) load the same."""
 
-    def _localized_append(self, dataset, n=3):
-        """Rows in the dataset's low corner: few dirty cells, and their
-        suffix-quadrant shadow touches few lattice range corners, so the
-        delta patch stays below the too-many-touched fallback."""
+    def _in_bounds_append(self, dataset, n=3):
+        """Rows inside the dataset's bounds: the index is patched, not
+        rebuilt."""
         b = dataset.bounds()
         return SpatialDataset(
             np.full(n, b.x_min + 1.0),
@@ -522,42 +501,102 @@ class TestFormatV4:
             },
         )
 
-    def test_lattice_sums_roundtrip_and_adoption(self, tmp_path):
+    @staticmethod
+    def _add_lattice_range_sums(session, aggregator):
+        """A ``_rewrite_bundle`` edit adding each lattice's real range
+        sums in the earlier writers' layout."""
+        from repro.index import range_sums
+        from repro.index.gids import candidate_lattice_geometry
+
+        table = session.channel_tables(session.compiler_for(aggregator))
+
+        def add_sums(meta, arrays):
+            assert meta["lattices"]
+            for j, entry in enumerate(meta["lattices"]):
+                entry["has_sums"] = True
+                _, _, over_ranges, full_ranges = candidate_lattice_geometry(
+                    session.index, entry["width"], entry["height"]
+                )
+                arrays[f"lat_{j}_full"] = range_sums(table, *full_ranges)
+                arrays[f"lat_{j}_over"] = range_sums(table, *over_ranges)
+
+        return add_sums
+
+    def test_bundle_with_lattice_range_sums_loads_bitwise(self, tmp_path):
         dataset, aggregator, queries = _instance(47, 80)
         session = QuerySession(dataset, settings=SMALL)
-        session.solve_batch(queries)
-        assert session._lattice_sums  # live sums exist to persist
-        path = tmp_path / "v4.idx"
+        expected = session.solve_batch(queries)
+        path = tmp_path / "v4sums.idx"
         save_session(session, path)
-        restored = load_session(path, dataset)
-        assert restored.bundle_version == 4
-        assert restored._pending_lattice_sums
-        # Adoption installs the sums next to the adopted intervals, so
-        # the lattice stays delta-patchable as a live artefact too.
-        adopted_by = random_aggregator()
-        compiler = restored.compiler_for(adopted_by)
-        restored.channel_tables(compiler)
-        restored.lattice_for(queries[0].width, queries[0].height, compiler)
-        key = (float(queries[0].width), float(queries[0].height), id(compiler))
-        assert key in restored._lattice_sums
+        _rewrite_bundle(path, self._add_lattice_range_sums(session, aggregator))
 
-    def test_pending_lattice_delta_patched_on_update(self, tmp_path):
-        """The satellite contract: update a fresh restore before any
-        adoption -- the pending lattice is patched in place (not
-        dropped), the first solve adopts it without recomputing the
-        intervals, and answers stay bitwise-identical to cold."""
-        dataset, aggregator, queries = _instance(48, 80)
+        restored = load_session(path, dataset)
+        assert restored.bundle_version == FORMAT_VERSION
+        assert restored._pending_lattices
+        for want, got in zip(expected, restored.solve_batch(queries)):
+            assert _same_result(want, got)
+
+    def test_bundle_with_lattice_range_sums_updates_like_cold(self, tmp_path):
+        """An update on a restore of such a bundle drops its pending
+        lattices, range sums ignored, and answers like a cold session."""
+        dataset, aggregator, queries = _instance(50, 80)
         session = QuerySession(dataset, settings=SMALL)
         session.solve_batch(queries)
-        path = tmp_path / "v4u.idx"
+        path = tmp_path / "v4sums.idx"
+        save_session(session, path)
+        _rewrite_bundle(path, self._add_lattice_range_sums(session, aggregator))
+
+        restored = load_session(path, dataset)
+        n_pending = len(restored._pending_lattices)
+        assert n_pending
+        stats = restored.append(self._in_bounds_append(dataset))
+        assert stats.index_patched
+        assert stats.pending_tables_patched == 1
+        assert stats.lattices_dropped == n_pending
+        cold = QuerySession(
+            restored.dataset, granularity=restored.granularity, settings=SMALL
+        )
+        for got, want in zip(
+            restored.solve_batch(queries), cold.solve_batch(queries)
+        ):
+            assert _same_result(got, want)
+
+    def test_written_bundle_carries_no_lattice_range_sums(self, tmp_path):
+        """Each lattice is written as its four interval arrays only: no
+        ``has_sums`` flag and no ``lat_*_full``/``lat_*_over`` members."""
+        dataset, aggregator, queries = _instance(46, 60)
+        session = QuerySession(dataset, settings=SMALL)
+        session.solve_batch(queries)
+        path = tmp_path / "session.idx"
+        save_session(session, path)
+        with np.load(path, allow_pickle=False) as bundle:
+            meta = json.loads(str(bundle["meta"][()]))
+            members = set(bundle.files)
+        assert meta["format_version"] == FORMAT_VERSION
+        assert meta["lattices"]
+        for j, entry in enumerate(meta["lattices"]):
+            assert set(entry) == {"width", "height", "signature"}
+            assert {name for name in members if name.startswith(f"lat_{j}_")} == {
+                f"lat_{j}_{part}" for part in ("x0", "y0", "lo", "hi")
+            }
+
+    def test_lattice_intervals_roundtrip_and_adoption(self, tmp_path, monkeypatch):
+        """A persisted lattice restores bit for bit, and the first solve
+        adopts it as-is instead of recomputing the intervals."""
+        import repro.engine.session as session_module
+
+        dataset, aggregator, queries = _instance(48, 80)
+        session = QuerySession(dataset, settings=SMALL)
+        expected = session.solve_batch(queries)
+        ((width, height, _), live), = session._lattices.items()
+        path = tmp_path / "v4.idx"
         save_session(session, path)
 
         restored = load_session(path, dataset)
-        stats = restored.append(self._localized_append(dataset))
-        assert stats.pending_lattices_patched >= 1
-        assert stats.pending_lattices_dropped == 0
-
-        import repro.engine.session as session_module
+        sig = aggregator_signature(aggregator)
+        pending = restored._pending_lattices[(width, height, sig)]
+        for got, want in zip(pending, live):
+            np.testing.assert_array_equal(got, want)
 
         calls = []
         original = session_module.candidate_lattice_intervals
@@ -566,22 +605,77 @@ class TestFormatV4:
             calls.append(args)
             return original(*args, **kwargs)
 
-        try:
-            session_module.candidate_lattice_intervals = counting
-            results = restored.solve_batch(queries)
-        finally:
-            session_module.candidate_lattice_intervals = original
-        assert calls == []  # the patched pending lattice was adopted as-is
+        monkeypatch.setattr(session_module, "candidate_lattice_intervals", counting)
+        results = restored.solve_batch(queries)
+        assert calls == []  # adopted, not recomputed
+        compiler = restored.compiler_for(aggregator)
+        assert restored._lattices[(width, height, id(compiler))] is pending
+        for got, want in zip(results, expected):
+            assert _same_result(got, want)
+
+    def test_lattices_dropped_counts_live_and_pending(self, tmp_path):
+        """An update on a partly adopted restore drops the adopted
+        (live) lattice and the still-pending one alike."""
+        dataset, aggregator, queries = _instance(52, 80)
+        rng = np.random.default_rng(52)
+        other_size = ASRSQuery.from_vector(
+            7.0, 5.0, aggregator, rng.uniform(0, 4, aggregator.dim(dataset))
+        )
+        session = QuerySession(dataset, settings=SMALL)
+        session.solve(queries[0])
+        session.solve(other_size)
+        path = tmp_path / "session.idx"
+        save_session(session, path)
+
+        restored = load_session(path, dataset)
+        assert len(restored._pending_lattices) == 2
+        restored.solve(queries[0])  # adopts the 13 x 9 lattice only
+        n_live = len(restored._lattices)
+        n_pending = len(restored._pending_lattices)
+        assert n_live == 1 and n_pending == 2
+        stats = restored.append(self._in_bounds_append(dataset))
+        assert stats.lattices_dropped == n_live + n_pending
+        assert not restored._lattices and not restored._pending_lattices
         cold = QuerySession(
             restored.dataset, granularity=restored.granularity, settings=SMALL
         )
-        for got, want in zip(results, cold.solve_batch(queries)):
+        for query in (queries[0], other_size):
+            assert _same_result(restored.solve(query), cold.solve(query))
+
+    def test_updated_restore_resaves_and_reloads(self, tmp_path):
+        """A restore updated before any adoption saves its patched
+        pending table (cells and recipe included, its dropped lattices
+        not), and that bundle reloads over the mutated dataset."""
+        dataset, aggregator, queries = _instance(53, 80)
+        session = QuerySession(dataset, settings=SMALL)
+        session.solve_batch(queries)
+        path = tmp_path / "session.idx"
+        save_session(session, path)
+
+        restored = load_session(path, dataset)
+        restored.delete(np.array([4, 9]))
+        resaved = tmp_path / "resaved.idx"
+        save_session(restored, resaved)
+
+        reloaded = load_session(resaved, restored.dataset)
+        sig = aggregator_signature(aggregator)
+        assert reloaded.epoch == 1
+        assert not reloaded._pending_lattices
+        np.testing.assert_array_equal(
+            reloaded._pending_table_cells[sig], restored._pending_table_cells[sig]
+        )
+        assert sig in reloaded._pending_recipes
+        cold = QuerySession(
+            restored.dataset, granularity=restored.granularity, settings=SMALL
+        )
+        for got, want in zip(
+            reloaded.solve_batch(queries), cold.solve_batch(queries)
+        ):
             assert _same_result(got, want)
 
-    def test_pending_lattice_patched_through_wal_replay(self, tmp_path):
-        """Crash recovery keeps the persisted lattices too: replaying a
-        localized update stream onto a fresh v4 restore patches the
-        pending lattices (one coalesced apply), identity-checked."""
+    def test_wal_replay_onto_restore_equals_live(self, tmp_path):
+        """Crash recovery: replaying an update stream onto a fresh
+        restore (one coalesced apply) answers like the live session."""
         from repro.engine import WriteAheadLog, replay
 
         dataset, aggregator, queries = _instance(49, 80)
@@ -591,50 +685,13 @@ class TestFormatV4:
         save_session(live, path)
         live.attach_wal(tmp_path / "v4w.wal")
         for _ in range(2):
-            live.append(self._localized_append(live.dataset))
+            live.append(self._in_bounds_append(live.dataset))
 
         restored = load_session(path, dataset)
         rstats = replay(restored, WriteAheadLog(tmp_path / "v4w.wal"))
         assert rstats.applied == 2
-        assert rstats.lattices_patched >= 1  # patched by the coalesced apply
         for got, want in zip(
             restored.solve_batch(queries), live.solve_batch(queries)
-        ):
-            assert _same_result(got, want)
-
-    def test_v3_bundle_without_sums_still_loads_and_updates(self, tmp_path):
-        """Read shim: a bundle without lattice sums (pre-v4 layout) loads
-        fine; updates just drop its pending lattices to the lazy path."""
-        dataset, aggregator, queries = _instance(50, 60)
-        session = QuerySession(dataset, settings=SMALL)
-        session.solve_batch(queries)
-        path = tmp_path / "v3like.idx"
-        save_session(session, path)
-        import json
-
-        with np.load(path, allow_pickle=False) as bundle:
-            meta = json.loads(str(bundle["meta"][()]))
-            arrays = {
-                name: bundle[name]
-                for name in bundle.files
-                if not (name.endswith("_full") or name.endswith("_over"))
-            }
-        meta["format_version"] = 3
-        for entry in meta["lattices"]:
-            entry.pop("has_sums", None)
-        arrays["meta"] = np.array(json.dumps(meta))
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-        restored = load_session(path, dataset)
-        assert restored.bundle_version == 3
-        assert not restored._pending_lattice_sums
-        stats = restored.append(self._localized_append(dataset))
-        assert stats.pending_lattices_dropped >= 1
-        cold = QuerySession(
-            restored.dataset, granularity=restored.granularity, settings=SMALL
-        )
-        for got, want in zip(
-            restored.solve_batch(queries), cold.solve_batch(queries)
         ):
             assert _same_result(got, want)
 

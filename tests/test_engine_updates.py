@@ -313,6 +313,152 @@ class TestSessionUpdates:
         # Weight matrices and rect sets grew with the rows.
         assert after != before
 
+    def test_bound_context_moving_append_drops_lattices(self):
+        """Average-term bounds read the bound-context extremes at every
+        lattice position.  An append that moves the selected max drops
+        the cached lattice like any update, and the re-derived one
+        answers like a cold session."""
+        rng = np.random.default_rng(51)
+        agg = random_aggregator(with_avg=True)
+        ds = make_random_dataset(rng, 250, extent=90.0)
+        session = QuerySession(ds)
+        for query in _queries(ds, agg):
+            session.solve(query)
+        b = ds.bounds()
+        spike = SpatialDataset(
+            np.array([(b.x_min + b.x_max) / 2.0]),
+            np.array([(b.y_min + b.y_max) / 2.0]),
+            ds.schema,
+            {"kind": np.array([0]), "score": np.array([999.0])},
+        )
+        stats = session.append(spike)  # k0 max score moves
+        assert stats.index_patched
+        assert stats.lattices_dropped >= 1
+        assert not session._lattices
+        _assert_matches_cold(session, _queries(session.dataset, agg, k=1))
+
+    def test_rederived_lattice_bitwise_equal_cold(self):
+        """The next solve re-derives the dropped lattice from the patched
+        channel table and the kept geometry, bit for bit a cold
+        session's intervals."""
+        rng = np.random.default_rng(50)
+        agg = random_aggregator()
+        ds = make_random_dataset(rng, 250, extent=90.0)
+        session = QuerySession(ds)
+        queries = _queries(ds, agg)
+        for query in queries:
+            session.solve(query)
+        stats = session.apply(
+            UpdateBatch(
+                append=_in_bounds_rows(rng, ds, 6),
+                delete=_interior_delete(rng, ds, 6),
+            )
+        )
+        assert stats.index_patched
+        assert stats.lattices_dropped == 1
+        session.solve(queries[0])
+        ((width, height, _), rederived), = session._lattices.items()
+        cold = QuerySession(
+            session.dataset,
+            granularity=session.granularity,
+            settings=session.settings,
+        )
+        want = cold.lattice_for(width, height, cold.compiler_for(agg))
+        for got, expected in zip(rederived, want):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_lattice_patch_stats_stay_zero(self):
+        """No update patches a lattice in place, so lattices_patched and
+        lattice_positions_refreshed read 0 while the drop is counted
+        (the serve benchmark's trace bootstrap reads both fields)."""
+        rng = np.random.default_rng(52)
+        agg = random_aggregator()
+        ds = make_random_dataset(rng, 200, extent=90.0)
+        session = QuerySession(ds)
+        for query in _queries(ds, agg):
+            session.solve(query)
+        stats = session.append(_in_bounds_rows(rng, ds, 5))
+        assert stats.index_patched
+        assert stats.lattices_dropped == 1
+        assert stats.lattices_patched == 0
+        assert stats.lattice_positions_refreshed == 0
+
+    def test_apply_update_takes_only_log_keyword(self, tmp_path):
+        """``log`` is apply_update's one option: ``log=False`` (what WAL
+        replay passes) applies the batch without writing a record."""
+        import inspect
+
+        from repro.engine.updates import apply_update
+
+        params = list(inspect.signature(apply_update).parameters.values())
+        assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["log"]
+        assert not any(p.kind is p.VAR_KEYWORD for p in params)
+        rng = np.random.default_rng(54)
+        ds = make_random_dataset(rng, 30)
+        session = QuerySession(ds)
+        wal = session.attach_wal(tmp_path / "updates.wal")
+        stats = apply_update(session, UpdateBatch(delete=np.array([0])), log=False)
+        assert stats.deleted == 1 and not stats.wal_logged
+        assert session.epoch == 1 and session.dataset.n == ds.n - 1
+        assert wal.state()["records"] == 0
+
+    def test_in_bounds_update_keeps_lattice_geometry(self, monkeypatch):
+        """An in-bounds update preserves the index geometry, so the
+        cached lattice geometry survives it: the refresh re-sums the
+        ranges and never recomputes the corners."""
+        import repro.engine.session as session_module
+
+        rng = np.random.default_rng(55)
+        agg = random_aggregator()
+        ds = make_random_dataset(rng, 200, extent=90.0)
+        session = QuerySession(ds)
+        queries = _queries(ds, agg)
+        for query in queries:
+            session.solve(query)
+        geometry = dict(session._lattice_geometry)
+        assert geometry
+        stats = session.delete(_interior_delete(rng, ds, 10))
+        assert stats.index_patched
+        for key, value in geometry.items():
+            assert session._lattice_geometry[key] is value
+
+        calls = []
+        original = session_module.candidate_lattice_geometry
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "candidate_lattice_geometry", counting)
+        for query in queries:
+            session.solve(query)
+        assert calls == []
+        monkeypatch.undo()
+        _assert_matches_cold(session, queries)
+
+    def test_bounds_changing_update_drops_lattice_geometry(self):
+        """A cold index rebuild may move the grid, so the cached lattice
+        geometry goes with it and is recomputed on the next solve."""
+        rng = np.random.default_rng(56)
+        ds = make_random_dataset(rng, 100, extent=60.0)
+        agg = random_aggregator()
+        session = QuerySession(ds)
+        queries = _queries(ds, agg)
+        for query in queries:
+            session.solve(query)
+        assert session._lattice_geometry
+        b = ds.bounds()
+        outside = SpatialDataset(
+            np.array([b.x_max + 25.0]),
+            np.array([b.y_min - 7.0]),
+            ds.schema,
+            {"kind": np.array([1]), "score": np.array([0.5])},
+        )
+        stats = session.append(outside)
+        assert not stats.index_patched
+        assert not session._lattice_geometry
+        _assert_matches_cold(session, queries)
+
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
     def test_interleaved_updates_match_fresh_session(self, seed, n_ops):
@@ -430,114 +576,3 @@ class TestConcurrentUpdates:
         # And the session itself now answers post-update.
         for query, post in zip(queries, after):
             assert _identical(session.solve(query), post)
-
-
-class TestDeltaLattice:
-    """Delta-aware lattice maintenance (DESIGN.md §10.4): updates patch
-    cached intervals at only the dirty-touched positions, bitwise-equal
-    to the full recompute they replace."""
-
-    def _warm_session(self, rng, agg, n=250):
-        ds = make_random_dataset(rng, n, extent=90.0)
-        session = QuerySession(ds)
-        for query in _queries(ds, agg):
-            session.solve(query)
-        return session
-
-    def test_patched_intervals_bitwise_equal_full_recompute(self):
-        from repro.core import CompositeAggregator, DistributionAggregator
-        from repro.core.selection import SelectAll
-
-        rng = np.random.default_rng(50)
-        agg = CompositeAggregator([DistributionAggregator("kind", SelectAll())])
-        session = self._warm_session(rng, agg)
-        assert session._lattice_sums  # sums cached next to the lattice
-        # A *localized* mutation (one small box away from the NE corner)
-        # keeps the touched-position fraction under the delta threshold.
-        ds = session.dataset
-        b = ds.bounds()
-        in_box = (
-            (ds.xs > b.x_min + 5.0)
-            & (ds.xs < b.x_min + 20.0)
-            & (ds.ys > b.y_min + 5.0)
-            & (ds.ys < b.y_min + 20.0)
-        )
-        delete = np.flatnonzero(in_box)[:4]
-        assert delete.size
-        spawned = make_random_dataset(rng, 4, extent=90.0)
-        appended = SpatialDataset(
-            np.clip(spawned.xs, b.x_min + 5.0, b.x_min + 20.0),
-            np.clip(spawned.ys, b.y_min + 5.0, b.y_min + 20.0),
-            ds.schema,
-            {name: spawned.column(name) for name in ds.schema.names},
-        )
-        stats = session.apply(UpdateBatch(append=appended, delete=delete))
-        assert stats.index_patched
-        assert stats.lattices_patched == 1
-        assert stats.lattices_dropped == 0
-        total = next(iter(session._lattices.values()))[2].shape[0]
-        assert 0 < stats.lattice_positions_refreshed < total
-        # The patched intervals must be bit-for-bit the lazy recompute.
-        (key, patched), = session._lattices.items()
-        (skey, sums), = session._lattice_sums.items()
-        assert skey == key
-        compiler = session._pins[key[2]]
-        from repro.index.gids import candidate_lattice_intervals
-
-        fresh, fresh_sums = candidate_lattice_intervals(
-            session.index,
-            compiler,
-            key[0],
-            key[1],
-            tables=session.channel_tables(compiler),
-            ctx=session.context_for(compiler),
-            return_sums=True,
-        )
-        for got, want in zip(patched, fresh):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(sums, fresh_sums):
-            np.testing.assert_array_equal(got, want)
-
-    def test_moved_bound_context_falls_back_to_full_refresh(self):
-        """Average-term bounds read the ctx extremes at every position:
-        an update that moves the selected min/max must drop the lattice,
-        not patch it."""
-        rng = np.random.default_rng(51)
-        agg = random_aggregator(with_avg=True)
-        session = self._warm_session(rng, agg)
-        b = session.dataset.bounds()
-        spike = SpatialDataset(
-            np.array([(b.x_min + b.x_max) / 2.0]),
-            np.array([(b.y_min + b.y_max) / 2.0]),
-            session.dataset.schema,
-            {"kind": np.array([0]), "score": np.array([999.0])},
-        )
-        stats = session.append(spike)  # k0 max score moves
-        assert stats.index_patched
-        assert stats.lattices_patched == 0
-        assert stats.lattices_dropped >= 1
-        _assert_matches_cold(session, _queries(session.dataset, agg, k=1))
-
-    def test_delta_off_matches_delta_on_and_cold(self):
-        from repro.engine.updates import apply_update
-
-        rng_a = np.random.default_rng(52)
-        rng_b = np.random.default_rng(52)
-        agg = random_aggregator()
-        on = self._warm_session(rng_a, agg)
-        off = self._warm_session(rng_b, agg)
-        queries = _queries(on.dataset, agg)
-        for _ in range(3):
-            batch = UpdateBatch(
-                append=_in_bounds_rows(rng_a, on.dataset, 4),
-                delete=_interior_delete(rng_a, on.dataset, 4),
-            )
-            apply_update(on, batch)
-            batch_b = UpdateBatch(
-                append=_in_bounds_rows(rng_b, off.dataset, 4),
-                delete=_interior_delete(rng_b, off.dataset, 4),
-            )
-            apply_update(off, batch_b, delta_lattice=False)
-        for query in queries:
-            assert _identical(on.solve(query), off.solve(query))
-        _assert_matches_cold(on, queries)

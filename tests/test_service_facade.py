@@ -5,8 +5,7 @@ direct ``QuerySession`` solves; the declarative ``DurabilityPolicy``
 fires checkpoints/compactions exactly at its thresholds; WAL
 compaction is equivalence-preserving (``compact()`` + replay ==
 uncompacted replay == cold session on the final dataset, bitwise);
-read replicas follow a writer's log; and the deprecated
-``SessionPool.solve``/``solve_batch`` shims still work but warn.
+and read replicas follow a writer's log.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.core import ASRSQuery
 from repro.data.io import save_csv
 from repro.engine import (
     QuerySession,
-    SessionPool,
     UpdateBatch,
     WriteAheadLog,
     load_session,
@@ -818,22 +816,3 @@ class TestObservability:
         base = service.persist("d", save_data=str(data))
         assert base.wal_action == "reset" and base.wal_dropped == 1
         assert service.session("d").wal.state()["records"] == 0
-
-
-class TestDeprecatedShims:
-    def test_pool_solve_warns_but_works(self):
-        rng = np.random.default_rng(50)
-        ds = make_random_dataset(rng, 60, extent=90.0)
-        agg = random_aggregator()
-        query = ASRSQuery.from_vector(
-            12.0, 9.0, agg, np.zeros(agg.dim(ds))
-        )
-        pool = SessionPool()
-        baseline = QuerySession(ds).solve(query)
-        with pytest.deprecated_call(match="SessionPool.solve"):
-            got = pool.solve("k", query, ds)
-        assert got.region == baseline.region
-        assert got.distance == baseline.distance
-        with pytest.deprecated_call(match="SessionPool.solve_batch"):
-            batch = pool.solve_batch("k", [query])
-        assert batch[0].region == baseline.region
