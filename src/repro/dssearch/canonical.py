@@ -53,7 +53,7 @@ improvement is required -- so pass 1 already holds it).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,21 +80,18 @@ class TieCollectingEngine(DSSearchEngine):
     :meth:`~DSSearchEngine.true_distance` the exact search trusts) and
     records the anchors that achieve ``d*`` bitwise.
 
-    A verified distance is a function of the covered point set alone,
-    so each distinct set is verified once: on a tie plateau hundreds of
-    candidates cover one and the same set.  The seen sets are keyed by
-    their exact packed membership bytes, and only the first anchor of
-    each tied set is recorded -- :func:`canonical_pick` canonicalizes
-    per set, so the answer does not depend on which anchor stands for
-    it.  The root accumulations of the searched pieces come from the
-    ``seeds`` mapping :func:`run_pass2` hands through (see
-    :func:`run_pass1`).
+    On a tie plateau hundreds of candidates cover one and the same set;
+    the engine's :meth:`~DSSearchEngine._verify_once` verifies each set
+    once, and only the first anchor of each tied set is recorded --
+    :func:`canonical_pick` canonicalizes per set, so the answer does not
+    depend on which anchor stands for it.  The root accumulations of the
+    searched pieces come from the ``seeds`` mapping :func:`run_pass2`
+    hands through (see :func:`run_pass1`).
     """
 
     def arm(self, dstar: float) -> None:
         self.dstar = float(dstar)
         self.tied: List[Anchor] = []
-        self.seen: Set[bytes] = set()
         # Claimed candidate distances and Equation-1 lower bounds are
         # grid-accumulated floats: a genuinely tied anchor can carry a
         # claimed value (or sit inside a space whose bound lands) a few
@@ -111,15 +108,10 @@ class TieCollectingEngine(DSSearchEngine):
     def offer_batch(
         self, px: np.ndarray, py: np.ndarray, dists: np.ndarray
     ) -> bool:
-        w, h = self.query.width, self.query.height
         for i in np.flatnonzero(dists <= self.margin):
             x, y = float(px[i]), float(py[i])
-            mask = self.dataset.mask_in_region(region_for_point(x, y, w, h))
-            key = np.packbits(mask).tobytes()
-            if key in self.seen:
-                continue  # same covered set: its verified distance is known
-            self.seen.add(key)
-            if self.true_distance(x, y) == self.dstar:
+            verified, first = self._verify_once(x, y)
+            if first and verified == self.dstar:
                 self.tied.append((x, y))
         return False  # the incumbent never improves in pass 2
 

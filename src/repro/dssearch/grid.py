@@ -9,9 +9,10 @@ set, hence lying inside a single disjoint region).
 
 The per-rectangle cell ranges are computed with ``searchsorted`` on the
 grid boundaries, and the per-cell sums with 2-D difference arrays
-(4 corner updates per rectangle, one ``bincount`` per channel, then two
-cumulative sums) -- O(n_active + cells · channels) per discretization,
-which is what makes the Python implementation practical.
+(up to 4 corner updates per rectangle, one ``bincount`` per channel,
+then two cumulative sums) -- O(n_active + cells · channels) per
+discretization, which is what makes the Python implementation
+practical.
 """
 
 from __future__ import annotations
@@ -155,17 +156,33 @@ class BufferPool:
             self._free.setdefault(arr.shape[0], []).append(arr)
 
 
-def _corner_keys(
-    r0: np.ndarray, r1: np.ndarray, c0: np.ndarray, c1: np.ndarray, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(flat corner indices, keep mask) for one coverage kind."""
-    keep = (r0 < r1) & (c0 < c1)
-    if not keep.all():
-        r0, r1, c0, c1 = r0[keep], r1[keep], c0[keep], c1[keep]
+def _corner_updates(
+    r0: np.ndarray, r1: np.ndarray, c0: np.ndarray, c1: np.ndarray, nrow: int, ncol: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """In-table corner updates of one coverage kind.
+
+    A rectangle covering cells ``[r0, r1) x [c0, c1)`` adds its weights
+    at corners ``(r0, c0)`` and ``(r1, c1)`` and subtracts them at
+    ``(r1, c0)`` and ``(r0, c1)``.  A corner on row ``nrow`` or column
+    ``ncol`` only reaches cells past the table, which the prefix sums
+    never return, so it is not emitted.  Returns the flat ``nrow x ncol``
+    indices, corner kind by corner kind, and per kind the rows of the
+    rectangles emitting it.
+    """
+    live = (r0 < r1) & (c0 < c1)
+    row_in = live & (r1 < nrow)
+    col_in = live & (c1 < ncol)
+    picks = tuple(np.flatnonzero(m) for m in (live, row_in, col_in, row_in & col_in))
+    p00, p10, p01, p11 = picks
     flat = np.concatenate(
-        [r0 * stride + c0, r1 * stride + c0, r0 * stride + c1, r1 * stride + c1]
+        [
+            r0[p00] * ncol + c0[p00],
+            r1[p10] * ncol + c0[p10],
+            r0[p01] * ncol + c1[p01],
+            r1[p11] * ncol + c1[p11],
+        ]
     )
-    return flat, keep
+    return flat, picks
 
 
 def _accumulate_both(
@@ -177,50 +194,48 @@ def _accumulate_both(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Difference-array accumulation of full and over sums in one pass.
 
-    The full and over accumulations share one corner-key array per
-    coverage kind and one ``bincount`` per channel (offsetting the over
-    keys by one table length).  Channels are scattered from a
-    channel-major signed-weight block: expanding composite
-    ``key*channel`` arrays instead costs an extra ``8·m·C`` integer and
-    float temp on the hottest path of the whole package.
+    The full and over accumulations share one ``bincount`` per channel
+    (offsetting the over keys by one table length).  Channels are
+    scattered from a channel-major signed-weight block: expanding
+    composite ``key*channel`` arrays instead costs an extra ``8·m·C``
+    integer and float temp on the hottest path of the whole package.
+    Every cell receives its corner terms in the order a padded
+    ``(nrow+1) x (ncol+1)`` table would, so the sums are that table's,
+    bit for bit.
     """
     n_channels = weights.shape[1]
-    padded = (nrow + 1) * (ncol + 1)
-    stride = ncol + 1
-    flat_f, keep_f = _corner_keys(
-        rows.full_lo, rows.full_hi, cols.full_lo, cols.full_hi, stride
+    size = nrow * ncol
+    flat_f, picks_f = _corner_updates(
+        rows.full_lo, rows.full_hi, cols.full_lo, cols.full_hi, nrow, ncol
     )
-    flat_o, keep_o = _corner_keys(
-        rows.over_lo, rows.over_hi, cols.over_lo, cols.over_hi, stride
+    flat_o, picks_o = _corner_updates(
+        rows.over_lo, rows.over_hi, cols.over_lo, cols.over_hi, nrow, ncol
     )
     if flat_f.size == 0 and flat_o.size == 0:
         zero = np.zeros((nrow, ncol, n_channels))
         return zero, zero.copy()
 
-    w_f = weights if keep_f.all() else weights[keep_f]
-    w_o = weights if keep_o.all() else weights[keep_o]
-    m_f, m_o = w_f.shape[0], w_o.shape[0]
     # Channel-major signed weights: row ``ch`` is the contiguous
     # bincount weight vector for channel ``ch``.
-    signed = np.empty((n_channels, 4 * m_f + 4 * m_o))
-    wt_f, wt_o = w_f.T, w_o.T
-    signed[:, 0 * m_f : 1 * m_f] = wt_f
-    np.negative(wt_f, out=signed[:, 1 * m_f : 2 * m_f])
-    signed[:, 2 * m_f : 3 * m_f] = signed[:, m_f : 2 * m_f]
-    signed[:, 3 * m_f : 4 * m_f] = wt_f
-    base = 4 * m_f
-    signed[:, base + 0 * m_o : base + 1 * m_o] = wt_o
-    np.negative(wt_o, out=signed[:, base + 1 * m_o : base + 2 * m_o])
-    signed[:, base + 2 * m_o : base + 3 * m_o] = signed[:, base + m_o : base + 2 * m_o]
-    signed[:, base + 3 * m_o : base + 4 * m_o] = wt_o
-    flat = np.concatenate([flat_f, flat_o + padded])
-    acc = np.empty((n_channels, 2 * padded))
+    signed = np.empty((n_channels, flat_f.size + flat_o.size))
+    at = 0
+    for picks in (picks_f, picks_o):
+        for pick, negate in zip(picks, (False, True, True, False)):
+            block = signed[:, at : at + pick.size]
+            w = weights if pick.size == weights.shape[0] else weights[pick]
+            if negate:
+                np.negative(w.T, out=block)
+            else:
+                block[...] = w.T
+            at += pick.size
+    flat = np.concatenate([flat_f, flat_o + size])
+    acc = np.empty((n_channels, 2 * size))
     for ch in range(n_channels):
-        acc[ch] = np.bincount(flat, weights=signed[ch], minlength=2 * padded)
-    acc = acc.reshape(n_channels, 2, nrow + 1, ncol + 1)
+        acc[ch] = np.bincount(flat, weights=signed[ch], minlength=2 * size)
+    acc = acc.reshape(n_channels, 2, nrow, ncol)
     acc = acc.cumsum(axis=2).cumsum(axis=3)
-    full = np.ascontiguousarray(np.moveaxis(acc[:, 0, :nrow, :ncol], 0, -1))
-    over = np.ascontiguousarray(np.moveaxis(acc[:, 1, :nrow, :ncol], 0, -1))
+    full = np.ascontiguousarray(np.moveaxis(acc[:, 0], 0, -1))
+    over = np.ascontiguousarray(np.moveaxis(acc[:, 1], 0, -1))
     return full, over
 
 

@@ -107,9 +107,9 @@ class SearchStats:
     max_depth_seen: int = 0
     candidate_points_evaluated: int = 0
     incumbent_updates: int = 0
-    #: region-semantics re-evaluations (:meth:`DSSearchEngine.true_distance`);
-    #: canonical pass 2 counts one per distinct covered point set among
-    #: its candidates within the margin, not one per candidate
+    #: region-semantics re-evaluations (:meth:`DSSearchEngine.true_distance`):
+    #: one per distinct covered point set an engine verifies, however
+    #: many candidates (mirages, tied anchors) cover that set
     verified_candidates: int = 0
     extra: dict = field(default_factory=dict)
 
@@ -168,6 +168,8 @@ class DSSearchEngine:
         self.delta_x, self.delta_y = max(dx, floor_x), max(dy, floor_y)
         self.stats = SearchStats()
         self._pool = pool if pool is not None else BufferPool()
+        # Verified distance per covered set (see :meth:`_verify_once`).
+        self._verified: dict[bytes, float] = {}
 
         # Seed: the empty region is always a valid answer.  The seed
         # point sits two query sizes below-left of the rectangle union:
@@ -204,7 +206,7 @@ class DSSearchEngine:
     # ------------------------------------------------------------------
     # Incumbent maintenance
     # ------------------------------------------------------------------
-    def true_distance(self, x: float, y: float) -> float:
+    def true_distance(self, x: float, y: float, mask: np.ndarray | None = None) -> float:
         """Distance actually achieved by the region anchored at ``(x, y)``.
 
         Evaluates *region* containment -- ``x < o.x < fl(x + a)`` -- the
@@ -213,12 +215,32 @@ class DSSearchEngine:
         (``x > fl(o.x - a)``) instead; the two agree everywhere except
         when the point sits within a float ulp of a rectangle edge,
         where the rounding in ``fl(x + a)`` vs ``fl(o.x - a)`` can
-        disagree about the boundary object.
+        disagree about the boundary object.  ``mask`` is that region's
+        membership mask, when the caller has already built it.
         """
         self.stats.verified_candidates += 1
+        if mask is None:
+            region = region_for_point(x, y, self.query.width, self.query.height)
+            mask = self.dataset.mask_in_region(region)
+        return self.query.distance_to(self.compiler.rep_from_mask(mask))
+
+    def _verify_once(self, x: float, y: float) -> tuple[float, bool]:
+        """``(verified distance, first time)`` of the set covered at ``(x, y)``.
+
+        A verified distance is a function of the covered point set
+        alone, so this engine runs :meth:`true_distance` once per set:
+        on a tie plateau, or for a run of near-edge mirages, hundreds
+        of candidates cover one and the same set.  Sets are keyed by
+        their exact packed membership bytes.
+        """
         region = region_for_point(x, y, self.query.width, self.query.height)
         mask = self.dataset.mask_in_region(region)
-        return self.query.distance_to(self.compiler.rep_from_mask(mask))
+        key = np.packbits(mask).tobytes()
+        verified = self._verified.get(key)
+        if verified is not None:
+            return verified, False
+        verified = self._verified[key] = self.true_distance(x, y, mask)
+        return verified, True
 
     def offer_batch(
         self, px: np.ndarray, py: np.ndarray, dists: np.ndarray
@@ -226,7 +248,7 @@ class DSSearchEngine:
         """Verified incumbent update from a batch of evaluated candidates.
 
         Every improving candidate is re-evaluated at region semantics
-        (:meth:`true_distance`) before it becomes the incumbent, so the
+        (:meth:`_verify_once`) before it becomes the incumbent, so the
         reported distance is always one the returned rectangle achieves.
         Without this, a candidate landing within an ulp of a rectangle
         edge can claim a distance its region does not attain -- and the
@@ -243,7 +265,7 @@ class DSSearchEngine:
             if not claimed < self.best_distance:
                 return improved
             x, y = float(px[i]), float(py[i])
-            verified = self.true_distance(x, y)
+            verified, _ = self._verify_once(x, y)
             if verified < self.best_distance:
                 self.best_distance = verified
                 self.best_point = (x, y)
@@ -532,37 +554,43 @@ class DSSearchEngine:
         products of the interval midpoints (cell borders included as cut
         ends, duplicate edges deduplicated, matching the open-face
         midpoint convention shared with the brute-force oracles).  The
-        whole batch is computed with ragged-array arithmetic -- numpy
-        passes over a ``(cells, 2·active)`` matrix per axis -- because a
-        per-cell Python loop here was the single largest slice of the
-        search runtime.
+        whole batch is computed with ragged-array arithmetic -- boolean
+        ``(cells, 2·active)`` crossing masks per axis, then one sort of
+        the crossing (cell, edge) pairs -- because a per-cell Python
+        loop here was the single largest slice of the search runtime.
         """
 
         def axis_mids(values: np.ndarray, sel: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray):
             # values: (2m,) edge coordinates; sel: (k, 2m) edges strictly
             # inside each cell; lo/hi: (k,) cell borders.  Returns the
-            # (k, 2m+1) midpoint matrix and the per-cell midpoint count.
-            k = lo.shape[0]
-            vals = np.where(sel, values[np.newaxis, :], np.inf)
-            vals.sort(axis=1)
-            # Dedup within each row: repeats (and the inf padding, where
-            # inf == inf) become padding, and a second sort compacts the
-            # survivors to the row front.
-            vals[:, 1:][vals[:, 1:] == vals[:, :-1]] = np.inf
-            vals.sort(axis=1)
-            counts = np.isfinite(vals).sum(axis=1) + 1
-            np.minimum(vals, hi[:, np.newaxis], out=vals)  # padding -> hi
-            left = np.empty((k, vals.shape[1] + 1))
-            left[:, 0] = lo
-            left[:, 1:] = vals
+            # midpoints of all cells, cell by cell, each cell's count
+            # and each cell's offset into them.
+            cell, edge = np.nonzero(sel)
+            cut = values[edge]
+            order = np.lexsort((cut, cell))
+            cell, cut = cell[order], cut[order]
+            # One cut per distinct coordinate of a cell (0.0 == -0.0:
+            # either one cuts the cell alike).
+            fresh = np.ones(cut.size, dtype=bool)
+            fresh[1:] = (cell[1:] != cell[:-1]) | (cut[1:] != cut[:-1])
+            cell, cut = cell[fresh], cut[fresh]
+            counts = np.bincount(cell, minlength=lo.size) + 1
+            starts = np.cumsum(counts) - counts
+            # Cell c's intervals run [lo, cut_0], [cut_0, cut_1], ...,
+            # [cut_last, hi]: the j-th cut overall (cell-major) closes
+            # interval j + cell and opens the next one.
+            at = np.arange(cut.size) + cell
+            left = np.empty(cut.size + lo.size)
             right = np.empty_like(left)
-            right[:, :-1] = vals
-            right[:, -1] = hi
+            left[starts] = lo
+            left[at + 1] = cut
+            right[at] = cut
+            right[starts + counts - 1] = hi
             mids = left
             mids += right
             mids *= 0.5
-            return mids, counts
+            return mids, counts, starts
 
         gxs, gys = grid.xs, grid.ys
         ex = np.concatenate([sub.x_min, sub.x_max])
@@ -585,20 +613,15 @@ class DSSearchEngine:
         in_y = ov2 & (ey[np.newaxis, :] > loy[:, np.newaxis]) & (
             ey[np.newaxis, :] < hiy[:, np.newaxis]
         )
-        mx, nx = axis_mids(ex, in_x, lox, hix)
-        my, ny = axis_mids(ey, in_y, loy, hiy)
+        mx, nx, sx = axis_mids(ex, in_x, lox, hix)
+        my, ny, _ = axis_mids(ey, in_y, loy, hiy)
 
         # Ragged cross product: cell c contributes nx[c]·ny[c] points,
         # x-major within each y (tile xs per y, repeat each y nx times).
         per_cell = nx * ny
-        n_points = int(per_cell.sum())
-        width = mx.shape[1]
-        flat_y = my[np.arange(ny.size).repeat(ny), _ragged_arange(ny)]
-        py = np.repeat(flat_y, np.repeat(nx, ny))
-        cell_of = np.repeat(np.arange(per_cell.size), per_cell)
-        starts = np.concatenate([[0], np.cumsum(per_cell)[:-1]])
-        within = np.arange(n_points) - np.repeat(starts, per_cell)
-        px = mx.ravel()[cell_of * width + within % np.repeat(nx, per_cell)]
+        py = np.repeat(my, np.repeat(nx, ny))
+        within = _ragged_arange(per_cell) % np.repeat(nx, per_cell)
+        px = mx[np.repeat(sx, per_cell) + within]
         return px, py
 
 

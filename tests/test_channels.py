@@ -70,6 +70,13 @@ class TestAgreementWithReference:
             agg.apply_mask(ds, mask),
             atol=1e-9,
         )
+        # The index gather sums the rows a boolean gather would, in the
+        # same order: the bits match the boolean-gather expression.
+        one_row = np.zeros(n, dtype=bool)
+        one_row[: min(n, 1)] = True
+        for m in (mask, np.zeros(n, dtype=bool), np.ones(n, dtype=bool), one_row):
+            want = compiler.rep_from_sums(compiler.weights[m].sum(axis=0))
+            assert compiler.rep_from_mask(m).tobytes() == want.tobytes()
 
     def test_rep_from_indices(self, fig1_dataset, fig1_aggregator):
         compiler = ChannelCompiler(fig1_dataset, fig1_aggregator)
