@@ -50,7 +50,10 @@ the Fig. 10 scalability workload (Tweet + POISyn, query size 10q):
   ``Tracked*`` wrapper leaked into the default build and times a
   second identically warmed session against the direct baseline; the
   overhead must stay ≤2% (identity-checked, same min-of-reps pattern
-  as service_overhead).  The bench never arms the sanitizer.
+  as service_overhead).  The bench never arms the sanitizer.  The
+  direct, service and sanitizer sides are timed in turn within each
+  repetition, so host drift during the row reaches all three alike
+  instead of reading as overhead.
 * **shard_scaleout** -- the spatial shard router (DESIGN.md §15): the
   same canonical queries answered by ``ShardRouter.query_batch`` over
   ≥2 real worker *processes* (per-shard bundles, one scatter) versus a
@@ -185,15 +188,6 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
     service_reps = 5
     direct_session = QuerySession(dataset, granularity=granularity)
     direct_session.solve(queries[0])
-    direct_times = []
-    for _ in range(service_reps):
-        t0 = time.perf_counter()
-        direct = [direct_session.solve(q) for q in queries]
-        direct_times.append(time.perf_counter() - t0)
-    # min-of-reps: the fastest pass is the one least polluted by
-    # scheduler noise, which otherwise dwarfs the facade's
-    # microsecond-scale bookkeeping on millisecond solves.
-    direct_s = min(direct_times)
 
     service = RegionService()
     service.open(
@@ -212,20 +206,6 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         for q in queries
     ]
     service.query(requests[0])  # warm, mirroring the direct side
-    service_times = []
-    for _ in range(service_reps):
-        t0 = time.perf_counter()
-        served = [service.query(r) for r in requests]
-        service_times.append(time.perf_counter() - t0)
-    service_s = min(service_times)
-    service_ok = all(
-        s.region
-        == (d.region.x_min, d.region.y_min, d.region.x_max, d.region.y_max)
-        and s.score == d.distance
-        and np.array_equal(np.asarray(s.representation), d.representation)
-        for s, d in zip(served, direct)
-    )
-    service_overhead_pct = round((service_s / direct_s - 1.0) * 100.0, 2)
 
     # Sanitizer overhead: the engine's locks are built through
     # repro.analysis.sanitizer factories (make_lock & friends), which
@@ -233,7 +213,7 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
     # same near-zero fast path the faults registry takes.  Two checks:
     # the session's locks really are plain primitives (no Tracked*
     # wrapper leaked into the default build), and a second identically
-    # warmed session times within noise of the direct baseline above
+    # warmed session times within noise of the direct baseline
     # (A/A by construction once the type check holds; a regression
     # that makes the disabled factory pay per-acquisition cost shows
     # up here).  The bench process never calls sanitizer.enable() --
@@ -253,12 +233,34 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
     ) and isinstance(direct_session._memo_lock, type(_threading.Lock()))
     sani_session = QuerySession(dataset, granularity=granularity)
     sani_session.solve(queries[0])
-    sani_times = []
+
+    # The three sides take turns within each repetition, so host speed
+    # drift lands on all of them alike; min-of-reps then keeps each
+    # side's fastest pass, the one least polluted by scheduler noise,
+    # which otherwise dwarfs the facade's microsecond-scale bookkeeping
+    # on millisecond solves.
+    direct_times, service_times, sani_times = [], [], []
     for _ in range(service_reps):
+        t0 = time.perf_counter()
+        direct = [direct_session.solve(q) for q in queries]
+        direct_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        served = [service.query(r) for r in requests]
+        service_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         sani = [sani_session.solve(q) for q in queries]
         sani_times.append(time.perf_counter() - t0)
+    direct_s = min(direct_times)
+    service_s = min(service_times)
     sanitizer_s = min(sani_times)
+    service_ok = all(
+        s.region
+        == (d.region.x_min, d.region.y_min, d.region.x_max, d.region.y_max)
+        and s.score == d.distance
+        and np.array_equal(np.asarray(s.representation), d.representation)
+        for s, d in zip(served, direct)
+    )
+    service_overhead_pct = round((service_s / direct_s - 1.0) * 100.0, 2)
     sanitizer_ok = sanitizer_plain and all(
         s.region == d.region
         and s.distance == d.distance

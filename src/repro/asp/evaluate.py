@@ -59,23 +59,25 @@ def points_distances(
     rects: RectSet,
     xs: np.ndarray,
     ys: np.ndarray,
-    active: np.ndarray | None = None,
+    taken: tuple[RectSet, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Vectorized distances for a batch of candidate points.
 
     Builds an ``(m, n_active)`` coverage matrix; intended for the small
     batches produced by dirty-cell resolution, not for full scans.
+    ``taken`` is ``(rects.take(active), compiler.weights[active])`` for
+    an active subset the caller has already gathered (DS-Search gathers
+    once per space, not once per call); without it every rectangle
+    counts.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if active is None:
+    if taken is None:
         # Whole-set evaluation: skip the take()/gather, which would copy
         # four n-sized coordinate columns per probe call.
         sub, weights = rects, compiler.weights
     else:
-        active = np.asarray(active)
-        sub = rects.take(active)
-        weights = compiler.weights[active]
+        sub, weights = taken
     cover = (
         (sub.x_min[np.newaxis, :] < xs[:, np.newaxis])
         & (xs[:, np.newaxis] < sub.x_max[np.newaxis, :])

@@ -32,9 +32,10 @@ than the *search schedule*, in two passes:
    that set.  The final answer is the lexicographically smallest
    canonical region over all tied point sets.
 
-Pass 2 repeats none of pass 1's target-independent work: both passes
-search the same pieces, so each piece's root accumulation is computed
-once per solve (a session keeps those of hole-free pieces across
+Pass 2 repeats none of pass 1's target-independent work: both engines
+share one space memo (DESIGN.md §7.1), so every space pass 1 processed
+-- the pieces and their split children -- serves pass 2 its
+accumulation (a session keeps the memo of hole-free solves across
 solves), and pass 2 verifies each covered point set once.
 
 The composition is decomposition-independent: a shard restricted to an
@@ -53,7 +54,7 @@ improvement is required -- so pass 1 already holds it).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +66,6 @@ from .search import DSSearchEngine
 from .topk import subtract_many
 
 Anchor = Tuple[float, float]
-#: A search piece's ``(x_min, y_min, x_max, y_max)``: the root-seed key.
-Piece = Tuple[float, float, float, float]
 
 
 class TieCollectingEngine(DSSearchEngine):
@@ -84,9 +83,9 @@ class TieCollectingEngine(DSSearchEngine):
     the engine's :meth:`~DSSearchEngine._verify_once` verifies each set
     once, and only the first anchor of each tied set is recorded --
     :func:`canonical_pick` canonicalizes per set, so the answer does not
-    depend on which anchor stands for it.  The root accumulations of the
-    searched pieces come from the ``seeds`` mapping :func:`run_pass2`
-    hands through (see :func:`run_pass1`).
+    depend on which anchor stands for it.  Its accumulations come from
+    the space memo it shares with the pass-1 engine (see
+    :func:`solve_canonical`).
     """
 
     def arm(self, dstar: float) -> None:
@@ -141,28 +140,14 @@ def search_pieces(
     return subtract_many(outer, list(holes))
 
 
-def _search_from_seeds(
-    engine: DSSearchEngine,
-    domain: Optional[Rect],
-    holes: Sequence[Rect],
-    seeds: Optional[Dict[Piece, tuple]],
+def _search_domain(
+    engine: DSSearchEngine, domain: Optional[Rect], holes: Sequence[Rect]
 ) -> None:
-    """Search every piece of ``domain`` minus ``holes`` from its root seed.
-
-    ``seeds`` is the :func:`run_pass1` mapping.  Concurrent solves may
-    both fill a missing key; their entries are bitwise equal, so either
-    may stay.
-    """
-    if seeds is None:
-        seeds = {}
+    """Search every piece of ``domain`` minus ``holes`` from its root."""
     for piece in search_pieces(engine, domain, holes):
-        key = (piece.x_min, piece.y_min, piece.x_max, piece.y_max)
-        entry = seeds.get(key)
-        if entry is None:
-            entry = seeds[key] = engine.root_state(piece)
-        if entry:
-            active, sub, acc = entry
-            engine.search_space(piece, 0.0, active, seed=(sub, acc))
+        active = engine.root_active(piece)
+        if active.size:
+            engine.search_space(piece, 0.0, active, root=True)
 
 
 def run_pass1(
@@ -171,7 +156,6 @@ def run_pass1(
     domain: Optional[Rect] = None,
     holes: Sequence[Rect] = (),
     seed_point: Optional[Anchor] = None,
-    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> float:
     """The ordinary exact search over ``domain`` minus ``holes``.
 
@@ -179,17 +163,6 @@ def run_pass1(
     distance.  ``seed_point`` overrides the empty-region seed -- a
     shard passes the router-computed *global* seed so its local empty
     answer is positionally identical to the unsharded one.
-
-    ``seeds`` maps each search piece's ``(x_min, y_min, x_max, y_max)``
-    to its :meth:`~DSSearchEngine.root_state`, filled on a miss (``None``
-    uses a fresh mapping).  That state depends on the rectangles, the
-    channel weights and the settings, never on the target or the
-    incumbent, so pass 2 and later solves of the same shape can share
-    it.  A seeded search is bit for bit the unseeded one: the root grid
-    has the same space and shape, and
-    :meth:`~DSSearchEngine.level0_accumulation` sums the same rectangles
-    with the same weights in the same order (GI-DS seeds its searched
-    cells the same way, DESIGN.md §7.1).
     """
     if engine.dataset.n == 0:
         if seed_point is not None:
@@ -198,7 +171,7 @@ def run_pass1(
     if seed_point is None:
         seed_point = canonical_seed(engine.rects.bounds(), holes, engine.query)
     engine.best_point = (float(seed_point[0]), float(seed_point[1]))
-    _search_from_seeds(engine, domain, holes, seeds)
+    _search_domain(engine, domain, holes)
     return engine.best_distance
 
 
@@ -208,20 +181,16 @@ def run_pass2(
     *,
     domain: Optional[Rect] = None,
     holes: Sequence[Rect] = (),
-    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> List[Anchor]:
     """Collect anchors achieving ``dstar`` over ``domain`` minus ``holes``.
 
     Returns one anchor per tied point set (see
-    :class:`TieCollectingEngine`).  ``seeds`` is the :func:`run_pass1`
-    mapping, keyed by piece coordinates: the pieces are the same, so
-    pass 2 re-searches them from pass 1's root states, bit for bit the
-    search that would have recomputed them.
+    :class:`TieCollectingEngine`).
     """
     collector.arm(dstar)
     if collector.dataset.n == 0:
         return []
-    _search_from_seeds(collector, domain, holes, seeds)
+    _search_domain(collector, domain, holes)
     return list(collector.tied)
 
 
@@ -339,36 +308,34 @@ def solve_canonical(
     domain: Optional[Rect] = None,
     holes: Sequence[Rect] = (),
     seed_point: Optional[Anchor] = None,
-    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> RegionResult:
     """Both passes plus canonicalization: the full canonical solve.
 
     The two factories supply fresh engines (a session passes its
     cache-assembling ``_engine``; cold callers build
-    :class:`DSSearchEngine` / :class:`TieCollectingEngine` directly).
+    :class:`DSSearchEngine` / :class:`TieCollectingEngine` directly),
+    sharing the rectangles, weights and settings.
 
-    ``seeds`` is the root-seed mapping of :func:`run_pass1`, keyed by
-    piece coordinates; both engines must share the rectangles, weights
-    and settings it was filled with.  Without one a per-solve mapping
-    is created, so pass 2 always reuses pass 1's roots; a session
-    passes a mapping it holds per query shape so later hole-free solves
-    reuse them too.  Either way the answer is bitwise the unseeded one.
+    Both engines search the same pieces, so they share one space memo
+    and pass 2 re-walks pass 1's spaces without re-summing them; the
+    answer is bitwise the memo-free one.  A session engine brings its
+    shape's memo, so later hole-free solves reuse the spaces too.  An
+    engine without one, or a solve with holes, gets a per-solve memo:
+    pieces cut around holes depend on earlier answers and would only
+    grow a shared memo.
     """
-    if seeds is None:
-        seeds = {}
     engine = make_engine()
+    if holes or engine.spaces is None:
+        engine.spaces = {}
     d_empty = engine.best_distance
-    dstar = run_pass1(
-        engine, domain=domain, holes=holes, seed_point=seed_point, seeds=seeds
-    )
+    dstar = run_pass1(engine, domain=domain, holes=holes, seed_point=seed_point)
     if engine.dataset.n == 0 or dstar == d_empty:
         # The incumbent never moved: the canonical answer is the seed
         # region itself, a pure function of bounds + holes.
         return engine.result()
     collector = make_collector()
-    anchors = run_pass2(
-        collector, dstar, domain=domain, holes=holes, seeds=seeds
-    )
+    collector.spaces = engine.spaces
+    anchors = run_pass2(collector, dstar, domain=domain, holes=holes)
     anchors.append(engine.best_point)
     region = canonical_pick(engine.dataset, query, anchors, holes)
     if region is None:
@@ -388,7 +355,6 @@ def solve_canonical_topk(
     *,
     dataset_n: int,
     exclude: Optional[Rect] = None,
-    seeds: Optional[Dict[Piece, tuple]] = None,
 ) -> List[RegionResult]:
     """Canonical top-k: :func:`ds_search_topk`'s round structure, each
     round answered canonically so the per-round holes -- and therefore
@@ -396,8 +362,6 @@ def solve_canonical_topk(
 
     ``dataset_n`` is the dataset's point count, mirroring the topk
     loop's empty-dataset short-circuit (one empty result, no holes).
-    ``seeds`` serves only a round without holes; every other round's
-    pieces depend on earlier answers, so it gets a per-solve mapping.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -414,11 +378,7 @@ def solve_canonical_topk(
         )
     for _ in range(k):
         result = solve_canonical(
-            make_engine,
-            make_collector,
-            query,
-            holes=list(holes),
-            seeds=None if holes else seeds,
+            make_engine, make_collector, query, holes=list(holes)
         )
         results.append(result)
         if dataset_n == 0:

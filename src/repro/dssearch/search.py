@@ -41,6 +41,10 @@ from .drop import gps_accuracy, satisfies_drop_condition
 from .grid import BufferPool, DiscretizationGrid, GridAccumulation
 from .split import split_space
 
+#: Per-shape cap on memoized space entries (DESIGN.md §7.1): bounds a
+#: long-lived session's memory when hard queries search many spaces.
+CELL_CACHE_CAP = 4096
+
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(c)`` for each ``c`` in ``counts``."""
@@ -111,6 +115,11 @@ class SearchStats:
     #: one per distinct covered point set an engine verifies, however
     #: many candidates (mirages, tied anchors) cover that set
     verified_candidates: int = 0
+    #: spaces whose grid sums were computed, not served by the space memo
+    accumulations: int = 0
+    #: memo entries refused because a space's active set differed from
+    #: the entry's (see :meth:`DSSearchEngine._accumulation`)
+    memo_mismatches: int = 0
     extra: dict = field(default_factory=dict)
 
 
@@ -133,6 +142,7 @@ class DSSearchEngine:
         accuracy: tuple[float, float] | None = None,
         empty_rep: np.ndarray | None = None,
         pool: BufferPool | None = None,
+        spaces: dict | None = None,
     ) -> None:
         if delta < 0:
             raise ValueError("delta must be non-negative")
@@ -143,9 +153,10 @@ class DSSearchEngine:
         self.delta = delta
         # The keyword-only parameters are the warm path of
         # :class:`~repro.engine.QuerySession`: a session hands in its
-        # memoized ASP reduction, GPS accuracy, empty representation and
-        # scratch-buffer pool so repeat queries skip every O(n)
-        # precomputation.  Each defaults to the cold computation.
+        # memoized ASP reduction, GPS accuracy, empty representation,
+        # scratch-buffer pool and space memo so repeat queries skip
+        # every O(n) precomputation.  Each defaults to the cold
+        # computation.
         self.rects: RectSet = (
             rects
             if rects is not None
@@ -168,6 +179,11 @@ class DSSearchEngine:
         self.delta_x, self.delta_y = max(dx, floor_x), max(dy, floor_y)
         self.stats = SearchStats()
         self._pool = pool if pool is not None else BufferPool()
+        #: The space memo this engine reads and fills (DESIGN.md §7.1):
+        #: each processed space's target-independent ``(active,
+        #: accumulation)``, shared by the engines of one query shape.
+        #: ``None`` memoizes nothing.
+        self.spaces = spaces
         # Verified distance per covered set (see :meth:`_verify_once`).
         self._verified: dict[bytes, float] = {}
 
@@ -278,51 +294,29 @@ class DSSearchEngine:
             dists[i] = np.inf  # near-edge mirage: rescan the rest
 
     # ------------------------------------------------------------------
-    def level0_accumulation(
-        self, space: Rect, active: np.ndarray, sub: RectSet
-    ) -> GridAccumulation:
-        """The root-space grid accumulation, computed standalone.
+    def root_active(self, space: Rect) -> np.ndarray:
+        """Indices of the rectangles whose open interior meets ``space``.
 
-        Deterministic in ``(space, active, weights)`` and independent of
-        the query target, so GI-DS sessions memoize it per searched
-        index cell (DESIGN.md §7.1) and seed :meth:`search_space` with
-        the result; the seeded search is bit-for-bit the search that
-        would have recomputed it.
+        A root's active set is this global overlap set, a pure function
+        of the space, so the memo serves it by key alone.  An empty set
+        is memoized here, since no accumulation ever follows it.
         """
-        ncol, nrow = self.settings.grid_shape(active.size)
-        grid = DiscretizationGrid(space, ncol, nrow, pool=self._pool)
-        try:
-            return grid.accumulate(
-                self.rects,
-                active,
-                self.compiler.weights_ext,
-                _taken=sub,
-                _has_presence=True,
-            )
-        finally:
-            grid.release()
-
-    def root_state(self, space: Rect) -> tuple:
-        """``(active, sub, accumulation)`` of a root space, or ``()``.
-
-        The target-independent part of searching ``space`` from its
-        root: the overlapping rectangles' indices, their gathered
-        coordinates and :meth:`level0_accumulation`.  ``()`` marks a
-        space no rectangle overlaps.  GI-DS cells and canonical search
-        pieces memoize it and seed :meth:`search_space` with it.
-        """
+        key = (True, space.x_min, space.y_min, space.x_max, space.y_max)
+        memo = self.spaces
+        entry = memo.get(key) if memo is not None else None
+        if entry is not None:
+            return entry[0]
         active = np.flatnonzero(self.rects.overlap_mask(space))
-        if not active.size:
-            return ()
-        sub = self.rects.take(active)
-        return active, sub, self.level0_accumulation(space, active, sub)
+        if not active.size and memo is not None and len(memo) < CELL_CACHE_CAP:
+            memo[key] = (active, None)
+        return active
 
     def search_space(
         self,
         space: Rect,
         space_lb: float,
         active: np.ndarray,
-        seed: tuple | None = None,
+        root: bool = False,
     ) -> None:
         """Run the discretize-split loop on one space.
 
@@ -332,8 +326,11 @@ class DSSearchEngine:
         the threshold, so entries pruned by a shrinking incumbent never
         pay for the overlap test or the index copy.
 
-        ``seed`` optionally provides the root space's
-        ``(sub_rects, accumulation)`` from :meth:`level0_accumulation`.
+        ``root`` declares ``active`` the global overlap set of ``space``
+        (what :meth:`root_active` returns), so the space's memo entry is
+        trusted by key.  Every other space -- split children, and the
+        ``arange`` root of :meth:`run` -- uses an entry only if its
+        materialized active set equals the entry's.
         """
         if active.size == 0:
             return
@@ -350,8 +347,8 @@ class DSSearchEngine:
                 payload = parent_active[parent_sub.overlap_mask(space)]
             if payload.size == 0:
                 continue
-            self._process_space(heap, space, payload, depth, seed=seed)
-            seed = None  # only the root space is precomputed
+            self._process_space(heap, space, payload, depth, root)
+            root = False  # everything below the first pop is a child
 
     def _threshold(self) -> float:
         """Bound below which a cell/space can still improve the result.
@@ -369,7 +366,7 @@ class DSSearchEngine:
         space: Rect,
         active: np.ndarray,
         depth: int,
-        seed: tuple | None = None,
+        root: bool,
     ) -> None:
         st = self.stats
         st.spaces_processed += 1
@@ -379,11 +376,52 @@ class DSSearchEngine:
         ncol, nrow = settings.grid_shape(active.size)
         grid = DiscretizationGrid(space, ncol, nrow, pool=self._pool)
         try:
-            self._discretize_and_expand(heap, grid, active, depth, seed)
+            acc, sub = self._accumulation(grid, space, active, root)
+            self._discretize_and_expand(heap, grid, active, depth, acc, sub)
         finally:
             # The grid's boundary buffers are dead once the space is
             # processed (children carry plain floats); recycle them.
             grid.release()
+
+    def _accumulation(
+        self,
+        grid: DiscretizationGrid,
+        space: Rect,
+        active: np.ndarray,
+        root: bool,
+    ) -> tuple:
+        """``(accumulation, sub)`` of a space: memoized, or summed on ``grid``.
+
+        The accumulation depends on the space, its active rectangles,
+        their channel weights and the grid shape (a function of
+        ``active.size``), never on the target or the incumbent, so a
+        memo hit is bit for bit the sum it replaces.  A child's active
+        set is derived from its parent's, and the MBRs
+        :func:`~repro.dssearch.split.split_space` builds can round past
+        the parent's pinned last boundary, so a rectangle can meet a
+        child space yet not the parent: a child's entry is used only
+        when the active sets match.  ``sub`` is the gathered active
+        rectangles when a miss had to gather them, else ``None``.
+        """
+        key = (root, space.x_min, space.y_min, space.x_max, space.y_max)
+        memo = self.spaces
+        entry = memo.get(key) if memo is not None else None
+        if entry is not None:
+            if root or np.array_equal(entry[0], active):
+                return entry[1], None
+            self.stats.memo_mismatches += 1
+        sub = self.rects.take(active)
+        acc = grid.accumulate(
+            self.rects,
+            active,
+            self.compiler.weights_ext,
+            _taken=sub,
+            _has_presence=True,
+        )
+        self.stats.accumulations += 1
+        if entry is None and memo is not None and len(memo) < CELL_CACHE_CAP:
+            memo[key] = (active, acc)
+        return acc, sub
 
     def _discretize_and_expand(
         self,
@@ -391,21 +429,11 @@ class DSSearchEngine:
         grid: DiscretizationGrid,
         active: np.ndarray,
         depth: int,
-        seed: tuple | None = None,
+        acc: GridAccumulation,
+        sub: RectSet | None,
     ) -> None:
         st = self.stats
         settings = self.settings
-        if seed is not None:
-            sub, acc = seed
-        else:
-            sub = self.rects.take(active)
-            acc = grid.accumulate(
-                self.rects,
-                active,
-                self.compiler.weights_ext,
-                _taken=sub,
-                _has_presence=True,
-            )
 
         # Clean cells: exact distances; best center updates the incumbent.
         clean = acc.clean
@@ -437,6 +465,11 @@ class DSSearchEngine:
         if not keep.any():
             return
         dirty_rows, dirty_cols, lbs = dirty_rows[keep], dirty_cols[keep], lbs[keep]
+        # The space's rectangles and weight rows, gathered once for the
+        # probes, the exact resolution and the children's payload.
+        if sub is None:
+            sub = self.rects.take(active)
+        taken = (sub, self.compiler.weights[active])
 
         # Probe the most promising dirty cells' centers: an exact point
         # evaluation is cheap and an early incumbent improvement prunes
@@ -451,7 +484,7 @@ class DSSearchEngine:
             px = cx[dirty_rows[probe], dirty_cols[probe]]
             py = cy[dirty_rows[probe], dirty_cols[probe]]
             dists = points_distances(
-                self.query, self.compiler, self.rects, px, py, active
+                self.query, self.compiler, self.rects, px, py, taken=taken
             )
             st.candidate_points_evaluated += n_probe
             if self.offer_batch(px, py, dists):
@@ -473,7 +506,7 @@ class DSSearchEngine:
             or depth >= settings.max_depth
         )
         if drop:
-            self._resolve_cells_exactly(grid, dirty_rows, dirty_cols, active, sub)
+            self._resolve_cells_exactly(grid, dirty_rows, dirty_cols, taken)
             return
 
         st.splits += 1
@@ -502,8 +535,7 @@ class DSSearchEngine:
         grid: DiscretizationGrid,
         rows: np.ndarray,
         cols: np.ndarray,
-        active: np.ndarray,
-        sub: RectSet,
+        taken: tuple,
     ) -> None:
         """Exact per-cell resolution at the drop condition.
 
@@ -512,8 +544,10 @@ class DSSearchEngine:
         cells are evaluated against the active rectangles in one batch.
         The caller has already pruned ``rows``/``cols`` against the
         current threshold (the re-prune is fused into the dispatch).
+        ``taken`` is the space's gathered ``(rectangles, weight rows)``.
         """
         st = self.stats
+        sub = taken[0]
         st.resolved_dirty_cells += rows.size
         # Chunk the cell batch so the (cells x 2·active) scratch
         # matrices stay bounded even when a depth-capped space drops
@@ -532,11 +566,11 @@ class DSSearchEngine:
             px, py = self._candidate_points(grid, rows, cols, sub)
         st.candidate_points_evaluated += px.size
         # Chunk so the (points x active) coverage matrix stays small.
-        chunk = max(1, 4_000_000 // max(1, active.size))
+        chunk = max(1, 4_000_000 // max(1, sub.n))
         for start in range(0, px.size, chunk):
             bx, by = px[start : start + chunk], py[start : start + chunk]
             dists = points_distances(
-                self.query, self.compiler, self.rects, bx, by, active
+                self.query, self.compiler, self.rects, bx, by, taken=taken
             )
             self.offer_batch(bx, by, dists)
 

@@ -278,14 +278,11 @@ class QuerySession:
         # not move), so the lattice refresh after an update pays only
         # the range sums, not the searchsorted geometry pass.
         self._lattice_geometry: Dict[Tuple[float, float], tuple] = {}
-        self._cells: Dict[Tuple[float, float, int], dict] = {}
-        # Canonical solves' root seeds (dssearch/canonical.py): per
-        # (width, height, compiler), a dict from search-piece
-        # coordinates to the piece's (active, sub, acc) root state, or
-        # () for an empty piece.  Kept apart from _cells, whose entries
-        # apply_update reinterprets by lattice index; an update drops
-        # these instead.  Not persisted.
-        self._root_seeds: Dict[Tuple[float, float, int], dict] = {}
+        # The space memo (DESIGN.md §7.1): per (width, height,
+        # compiler), a dict from (root, x_min, y_min, x_max, y_max) to
+        # the space's (active, accumulation), filled by every engine
+        # this session assembles.  Not persisted.
+        self._spaces: Dict[Tuple[float, float, int], dict] = {}
         # Disk-restored artefacts keyed by aggregator *signature* (ids
         # do not survive a process restart); adopted into the id-keyed
         # caches on first use.  See engine/persist.py.  Each table comes
@@ -518,6 +515,12 @@ class QuerySession:
             rects, accuracy = self.reduction_for(query.width, query.height)
         else:
             rects, accuracy = None, None
+        spaces = self._memo(
+            self._spaces,
+            (float(query.width), float(query.height), id(compiler)),
+            dict,
+            pin=compiler,
+        )
         return factory(
             self.dataset,
             query,
@@ -528,6 +531,7 @@ class QuerySession:
             accuracy=accuracy,
             empty_rep=self.empty_rep_for(query.aggregator),
             pool=self._pool,
+            spaces=spaces,
         )
 
     def solve(
@@ -597,7 +601,6 @@ class QuerySession:
             result = engine.run()
             return (result, engine.stats) if return_stats else result
         compiler = engine.compiler
-        cell_key = (float(query.width), float(query.height), id(compiler))
         return gi_ds_search(
             self.dataset,
             query,
@@ -610,7 +613,6 @@ class QuerySession:
             lattice_intervals=self.lattice_for(
                 query.width, query.height, compiler
             ),
-            cell_cache=self._memo(self._cells, cell_key, dict, pin=compiler),
         )
 
     def solve_batch(
@@ -666,27 +668,12 @@ class QuerySession:
             ),
         )
 
-    def _root_seeds_for(self, query: ASRSQuery) -> dict:
-        """The session's root-seed map of a query shape.
-
-        Only hole-free canonical solves use it: their pieces (a shard's
-        tile, or the whole bounds) repeat across queries, while pieces
-        cut around holes would grow it without bound.
-        """
-        compiler = self.compiler_for(query.aggregator)
-        key = (float(query.width), float(query.height), id(compiler))
-        return self._memo(self._root_seeds, key, dict, pin=compiler)
-
     def _canonical(
         self, query: ASRSQuery, holes: Sequence["Rect"], **kwargs
     ) -> RegionResult:
         """One canonical solve; the caller holds the shared gate."""
         return canonical.solve_canonical(
-            *self._canonical_engines(query),
-            query,
-            holes=holes,
-            seeds=None if holes else self._root_seeds_for(query),
-            **kwargs,
+            *self._canonical_engines(query), query, holes=holes, **kwargs
         )
 
     def solve_canonical(
@@ -748,7 +735,6 @@ class QuerySession:
                 k,
                 dataset_n=self.dataset.n,
                 exclude=exclude,
-                seeds=self._root_seeds_for(query),
             )
 
     # ------------------------------------------------------------------
@@ -762,8 +748,8 @@ class QuerySession:
         settings=self.settings)``, but warm artefacts are surgically
         patched instead of rebuilt: only dirty index cells are
         re-summed, lattice intervals recompute lazily from the patched
-        tables, and per-cell level-0 state survives wherever no changed
-        rectangle touches it.  Exclusive with in-flight solves (the
+        tables, and memoized spaces survive wherever no changed
+        rectangle touches them.  Exclusive with in-flight solves (the
         update gate drains them first).  Returns an
         :class:`~repro.engine.updates.UpdateStats`.
         """
@@ -807,8 +793,8 @@ class QuerySession:
         """Drop every memoized artefact (memory pressure relief).
 
         The next solve re-warms lazily; answers are unaffected.  The
-        per-cell level-0 cache is additionally capped at
-        :data:`repro.index.gids.CELL_CACHE_CAP` entries per
+        space memo is additionally capped at
+        :data:`repro.dssearch.search.CELL_CACHE_CAP` entries per
         ``(width, height, aggregator)`` key, so calling this is only
         needed to reclaim memory across many distinct query shapes.
 
@@ -829,8 +815,7 @@ class QuerySession:
             self._reductions.clear()
             self._lattices.clear()
             self._lattice_geometry.clear()
-            self._cells.clear()
-            self._root_seeds.clear()
+            self._spaces.clear()
             self._pending_tables.clear()
             self._pending_table_cells.clear()
             self._pending_recipes.clear()
@@ -855,9 +840,8 @@ class QuerySession:
             "empty_reps": len(self._empty_reps),
             "reductions": len(self._reductions),
             "lattices": len(self._lattices),
-            # list(): solves may insert cell caches concurrently.
-            "cached_cells": sum(len(c) for c in list(self._cells.values())),
-            "root_seeds": sum(len(c) for c in list(self._root_seeds.values())),
+            # list(): solves may insert space memos concurrently.
+            "cached_spaces": sum(len(m) for m in list(self._spaces.values())),
             "epoch": self.epoch,
             "bundle_version": self.bundle_version,
             "wal": None if wal is None else wal.state(),
@@ -868,8 +852,8 @@ class QuerySession:
 
         Drives :class:`~repro.engine.pool.SessionPool` eviction; counts
         the numpy payloads (index tables, channel weights, suffix
-        tables, lattice intervals, ASP rectangles, cached cell states,
-        canonical root seeds) and ignores interpreter overhead.
+        tables, lattice intervals, ASP rectangles, memoized spaces) and
+        ignores interpreter overhead.
         """
         total = 0
         # Adopted pending artefacts alias their id-keyed entries (the
@@ -909,13 +893,11 @@ class QuerySession:
             total += arr_bytes(table)
         for lattice in list(self._pending_lattices.values()):
             total += sum(arr_bytes(arr) for arr in lattice)
-        for cells in [*self._cells.values(), *self._root_seeds.values()]:
-            for entry in list(cells.values()):
-                if not entry:
-                    continue
-                active, sub, acc = entry
-                total += active.nbytes + sub.nbytes
-                total += acc.full.nbytes + acc.over.nbytes + acc.dirty.nbytes
+        for memo in list(self._spaces.values()):
+            for active, acc in list(memo.values()):
+                total += active.nbytes
+                if acc is not None:
+                    total += acc.full.nbytes + acc.over.nbytes + acc.dirty.nbytes
         return total
 
     def __repr__(self) -> str:

@@ -25,8 +25,8 @@ actually touched:
 * signature-keyed pending channel tables restored from a bundle are
   patched through recipe-reconstructed compilers, so a replayed restore
   never pays a cold channel-table rebuild;
-* per-cell level-0 accumulations survive unless a changed rectangle
-  overlaps their cell (deletes renumber the surviving active indices).
+* memoized spaces survive unless a changed rectangle overlaps their
+  key rectangle (deletes renumber the surviving active indices).
 
 When a :class:`~repro.engine.wal.WriteAheadLog` is attached to the
 session, every effective batch is durably logged before any state
@@ -108,6 +108,8 @@ class UpdateStats:
     # trace bootstrap still reads both on every apply_update.
     lattices_patched: int = 0
     lattice_positions_refreshed: int = 0
+    # Space-memo entries kept and dropped (DESIGN.md §9.2), under the
+    # names the service JSON and the CLI print.
     cell_entries_kept: int = 0
     cell_entries_dropped: int = 0
     wal_logged: bool = False
@@ -224,7 +226,7 @@ def _derive_and_swap(
         old_contexts = dict(session._contexts)
         old_empty_reps = dict(session._empty_reps)
         old_reductions = dict(session._reductions)
-        old_cell_caches = dict(session._cells)
+        old_spaces = dict(session._spaces)
         old_pending_tables = dict(session._pending_tables)
         old_pending_cells = dict(session._pending_table_cells)
         old_pending_recipes = dict(session._pending_recipes)
@@ -392,36 +394,30 @@ def _derive_and_swap(
             new_pending_recipes[sig] = recipe
             stats.pending_tables_patched += 1
 
-    # Per-cell level-0 accumulations: keep entries no changed rectangle
-    # overlaps (their active set, gathered coordinates and accumulation
-    # are bitwise the cold ones); renumber active indices after deletes.
-    new_cells: dict = {}
-    if new_index is not None:
-        new_of_old = np.full(old_ds.n, -1, dtype=np.int64)
-        new_of_old[kept] = np.arange(kept.size, dtype=np.int64)
+    # Memoized spaces: keep entries whose key rectangle no changed
+    # rectangle overlaps (their active set and accumulation are bitwise
+    # the cold ones); renumber active indices after deletes.  Moved
+    # bounds move every GI-DS cell and canonical piece (the index
+    # rebuilds cold), so they drop the memo whole.
+    new_spaces: dict = {}
+    if old_ds.n and new_ds.n and old_ds.bounds() == new_ds.bounds():
+        new_of_old = None
+        if n_deleted:
+            new_of_old = np.full(old_ds.n, -1, dtype=np.int64)
+            new_of_old[kept] = np.arange(kept.size, dtype=np.int64)
         anchor = session.settings.anchor
-        for (width, height, old_cid), cache in old_cell_caches.items():
+        for (width, height, old_cid), memo in old_spaces.items():
             new_comp = remap.get(old_cid)
             changed = changed_rects.get((width, height, anchor))
             if new_comp is None or changed is None:
-                stats.cell_entries_dropped += len(cache)
+                stats.cell_entries_dropped += len(memo)
                 continue
-            surviving = _surviving_cell_entries(
-                new_index,
-                width,
-                height,
-                cache,
-                changed,
-                new_of_old,
-                renumber=n_deleted > 0,
-            )
+            surviving = _surviving_entries(memo, changed, new_of_old)
             stats.cell_entries_kept += len(surviving)
-            stats.cell_entries_dropped += len(cache) - len(surviving)
-            new_cells[(width, height, id(new_comp))] = surviving
+            stats.cell_entries_dropped += len(memo) - len(surviving)
+            new_spaces[(width, height, id(new_comp))] = surviving
     else:
-        stats.cell_entries_dropped = sum(
-            len(cache) for cache in old_cell_caches.values()
-        )
+        stats.cell_entries_dropped = sum(len(memo) for memo in old_spaces.values())
 
     # ------------------------------------------------------------------
     # Swap, atomically w.r.t. everything that takes the memo lock
@@ -441,10 +437,7 @@ def _derive_and_swap(
             # The index geometry may shift on a cold rebuild; the cached
             # lattice geometry is only valid while it is preserved.
             session._lattice_geometry = {}
-        session._cells = new_cells
-        # Root seeds hold whole-piece accumulations and pieces follow
-        # the rectangle bounds: dropped, and refilled by the next solve.
-        session._root_seeds = {}
+        session._spaces = new_spaces
         session._pending_tables = new_pending_tables
         session._pending_table_cells = new_pending_cells
         session._pending_recipes = new_pending_recipes
@@ -460,46 +453,36 @@ def _derive_and_swap(
     return stats
 
 
-def _surviving_cell_entries(
-    new_index,
-    width: float,
-    height: float,
-    cache: dict,
-    changed: np.ndarray,
-    new_of_old: np.ndarray,
-    renumber: bool,
+def _surviving_entries(
+    memo: dict, changed: np.ndarray, new_of_old: np.ndarray | None
 ) -> dict:
-    """The cell-cache entries untouched by the changed rectangles.
+    """The space-memo entries no changed rectangle overlaps.
 
-    Reconstructs each cached lattice cell's rectangle from the (shared)
-    index geometry, keeps entries whose cell no changed rectangle
-    overlaps, and (when ``renumber``, i.e. rows were deleted) maps
-    surviving active-index arrays through ``new_of_old``.
+    A key is ``(root, x_min, y_min, x_max, y_max)``; an entry survives
+    when no changed rectangle's open interior meets its key rectangle
+    (the test of :meth:`~repro.asp.rectset.RectSet.overlap_mask`), so
+    every rectangle of its active set is unchanged.  ``new_of_old``
+    (``None`` when no row was deleted) renumbers the active indices.
     """
-    if not cache:
+    if not memo:
         return {}
-    cw, ch = new_index.cell_width, new_index.cell_height
-    pad_rows = int(np.ceil(float(height) / ch))
-    lat_rows = pad_rows + new_index.sy
-    pad_cols = int(np.ceil(float(width) / cw))
-    keys = np.fromiter(cache.keys(), dtype=np.int64, count=len(cache))
-    ci, ri = keys // lat_rows, keys % lat_rows
-    x0 = new_index.space.x_min + (ci - pad_cols) * cw
-    y0 = new_index.space.y_min + (ri - pad_rows) * ch
-    cx_min, cy_min, cx_max, cy_max = changed
-    hit = (
-        (cx_min[np.newaxis, :] < (x0 + cw)[:, np.newaxis])
-        & (x0[:, np.newaxis] < cx_max[np.newaxis, :])
-        & (cy_min[np.newaxis, :] < (y0 + ch)[:, np.newaxis])
-        & (y0[:, np.newaxis] < cy_max[np.newaxis, :])
-    ).any(axis=1)
+    keys = list(memo)
+    boxes = np.array([key[1:] for key in keys], dtype=np.float64)
+    cx_min, cy_min, cx_max, cy_max = (c[np.newaxis, :] for c in changed)
+    hit = np.zeros(len(keys), dtype=bool)
+    # Chunked so the (keys x changed) masks stay small on bulk updates.
+    step = max(1, 4_000_000 // max(1, changed.shape[1]))
+    for start in range(0, len(keys), step):
+        x0, y0, x1, y1 = (c[:, np.newaxis] for c in boxes[start : start + step].T)
+        hit[start : start + step] = (
+            (cx_min < x1) & (x0 < cx_max) & (cy_min < y1) & (y0 < cy_max)
+        ).any(axis=1)
     surviving: dict = {}
-    for key, overlapped in zip(keys.tolist(), hit.tolist()):
+    for key, overlapped in zip(keys, hit.tolist()):
         if overlapped:
             continue
-        entry = cache[key]
-        if entry and renumber:
-            active, sub, acc = entry
-            entry = (new_of_old[active], sub, acc)
-        surviving[key] = entry
+        active, acc = memo[key]
+        if new_of_old is not None:
+            active = new_of_old[active]
+        surviving[key] = (active, acc)
     return surviving

@@ -40,11 +40,6 @@ from .grid_index import GridIndex
 from .summary import range_sums
 
 
-#: Per-(size, aggregator) cap on memoized level-0 cell entries: bounds a
-#: long-lived session's memory when hard queries search many cells.
-CELL_CACHE_CAP = 4096
-
-
 @dataclass
 class GIDSStats:
     """Instrumentation for Table 1 (ratio of cells searched, index size)."""
@@ -65,12 +60,16 @@ def candidate_lattice_geometry(
 ) -> tuple:
     """The data-independent geometry of the candidate lattice.
 
-    Returns ``(x0, y0, over_ranges, full_ranges)``: the lattice corner
-    arrays plus the Lemma-8 cell-range index arrays of each cell's
-    bounding (union) and bounded (intersection) regions.  Depends only
-    on the index *geometry* (space, cell sizes, boundary arrays) and the
-    region size -- not on the data values -- so a
-    :class:`~repro.engine.QuerySession` caches it per ``(width,
+    Returns ``(x0, y0, over_ranges, full_ranges)``: the per-cell lattice
+    corner arrays plus the Lemma-8 cell-range index arrays of each
+    cell's bounding (union) and bounded (intersection) regions.  The
+    lattice is the product of its columns and rows, so each range
+    depends on one axis only: column ranges are shaped ``(nc, 1)`` and
+    row ranges ``(nr,)``, and :func:`range_sums` broadcasts them over
+    the ``(nc, nr)`` cells (cell ``c * nr + r``, the order of ``x0`` and
+    ``y0``).  Depends only on the index *geometry* (space, cell sizes,
+    boundary arrays) and the region size -- not on the data values -- so
+    a :class:`~repro.engine.QuerySession` caches it per ``(width,
     height)`` and keeps it across in-bounds incremental updates, which
     preserve the index geometry exactly (DESIGN.md §9).
     """
@@ -79,12 +78,10 @@ def candidate_lattice_geometry(
     pad_rows = int(np.ceil(b / index.cell_height))
     cols = np.arange(-pad_cols, index.sx)
     rows = np.arange(-pad_rows, index.sy)
-    cc, rr = np.meshgrid(cols, rows, indexing="ij")
-    cc, rr = cc.ravel(), rr.ravel()
 
-    x0 = index.space.x_min + cc * index.cell_width
+    x0 = index.space.x_min + cols * index.cell_width
     x1 = x0 + index.cell_width
-    y0 = index.space.y_min + rr * index.cell_height
+    y0 = index.space.y_min + rows * index.cell_height
     y1 = y0 + index.cell_height
 
     # Bounding region (union of candidate regions): overlap cell range.
@@ -99,7 +96,12 @@ def candidate_lattice_geometry(
     fr_lo, fr_hi = axis_cell_range(
         index.ys, y1, np.maximum(y0 + b, y1), index.sy, "full"
     )
-    return x0, y0, (oc_lo, oc_hi, or_lo, or_hi), (fc_lo, fc_hi, fr_lo, fr_hi)
+    return (
+        np.repeat(x0, rows.size),
+        np.tile(y0, cols.size),
+        (oc_lo[:, np.newaxis], oc_hi[:, np.newaxis], or_lo, or_hi),
+        (fc_lo[:, np.newaxis], fc_hi[:, np.newaxis], fr_lo, fr_hi),
+    )
 
 
 def candidate_lattice_intervals(
@@ -129,8 +131,9 @@ def candidate_lattice_intervals(
 
     if tables is None:
         tables = index.channel_tables(compiler)
-    full = range_sums(tables, *full_ranges)
-    over = range_sums(tables, *over_ranges)
+    # (nc, nr, C) from the per-axis ranges, flattened to the cell order.
+    full = range_sums(tables, *full_ranges).reshape(x0.size, -1)
+    over = range_sums(tables, *over_ranges).reshape(x0.size, -1)
     if ctx is None:
         ctx = compiler.make_context()
     lo, hi = compiler.bounds_from_sums(full, over, ctx)
@@ -203,7 +206,6 @@ def gi_ds_search(
     channel_tables: np.ndarray | None = None,
     bound_context: BoundContext | None = None,
     lattice_intervals: tuple | None = None,
-    cell_cache: dict | None = None,
 ):
     """Solve an ASRS query with the grid-index-enhanced DS-Search.
 
@@ -216,8 +218,9 @@ def gi_ds_search(
     The keyword-only ``engine`` / ``channel_tables`` / ``bound_context``
     parameters are the warm path used by
     :class:`~repro.engine.QuerySession`: a session injects an engine
-    built from its cached compiler and ASP reduction plus its memoized
-    suffix table, so repeat queries skip every per-dataset precomputation.
+    built from its cached compiler, ASP reduction and space memo plus
+    its memoized suffix table, so repeat queries skip every per-dataset
+    precomputation.
     """
     if engine is None:
         engine = DSSearchEngine(dataset, query, settings, delta=delta)
@@ -269,22 +272,15 @@ def gi_ds_search(
         if lb >= engine._threshold():
             break
         cx0, cy0 = float(x0[i]), float(y0[i])
-        cx1, cy1 = cx0 + cw, cy0 + ch
-        cell = Rect(cx0, cy0, cx1, cy1)
-        # The root-space work of a searched cell -- active set, gathered
-        # rectangles, grid accumulation -- is target-independent, so a
-        # session memoizes it per cell (DESIGN.md §7.1).  An empty tuple
-        # marks a cell with no overlapping rectangles.
-        entry = cell_cache.get(i) if cell_cache is not None else None
-        if entry is None:
-            entry = engine.root_state(cell)
-            if cell_cache is not None and len(cell_cache) < CELL_CACHE_CAP:
-                cell_cache[i] = entry
-        if not entry:
+        cell = Rect(cx0, cy0, cx0 + cw, cy0 + ch)
+        # A cell's active set and accumulation are target-independent:
+        # a session's engine serves them from its space memo (DESIGN.md
+        # §7.1), which also remembers the cells no rectangle overlaps.
+        active = engine.root_active(cell)
+        if not active.size:
             continue
-        active, sub, acc = entry
         stats.searched_cells += 1
-        engine.search_space(cell, lb, active, seed=(sub, acc))
+        engine.search_space(cell, lb, active, root=True)
 
     result: RegionResult = engine.result()
     stats.search = dict(engine.stats.__dict__)

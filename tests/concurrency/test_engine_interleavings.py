@@ -95,6 +95,70 @@ class TestUpdateGateVsQuery:
         assert session.epoch == 1
 
 
+class TestSpaceMemoVsUpdates:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_memo_fills_race_updates_bitwise(self, seed):
+        """Two solvers fill one shape's space memo (GI-DS and canonical
+        solves, lock-free) while an updater applies batches that keep
+        some entries and drop others; every answer equals a cold
+        session at the epoch it was served at."""
+        dataset, query = _workload(seed=19, n=60)
+        rng = np.random.default_rng(seed)
+        other = ASRSQuery.from_vector(
+            query.width,
+            query.height,
+            query.aggregator,
+            rng.uniform(0, 4, query.aggregator.dim(dataset)),
+        )
+        b = dataset.bounds()
+        batches = [
+            UpdateBatch(delete=[3, 4]),
+            UpdateBatch(
+                append=[
+                    (b.x_min + 5.0, b.y_min + 5.0, {"kind": "k1", "score": 2.0})
+                ]
+            ),
+        ]
+        datasets = [dataset]
+        replay = QuerySession(dataset, settings=TINY)
+        for batch in batches:
+            replay.apply(batch)
+            datasets.append(replay.dataset)
+
+        session = QuerySession(dataset, settings=TINY)
+        session.solve(query)  # entries for the updater to carry forward
+        results = []
+
+        def solver(first, second):
+            def run():
+                for q in (first, second):
+                    results.append(("gids", q, *session.solve_with_epoch(q)))
+                    results.append(
+                        ("canonical", q, *session.solve_canonical_with_epoch(q))
+                    )
+
+            return run
+
+        def updater():
+            for batch in batches:
+                session.apply(batch)
+
+        run_interleaved(
+            [solver(query, other), solver(other, query), updater], seed=seed
+        )
+        assert session.epoch == len(batches)
+        assert session.cache_info()["cached_spaces"] >= 1
+        cold = [QuerySession(ds, settings=TINY) for ds in datasets]
+        assert len(results) == 8
+        for kind, q, got, epoch in results:
+            want = (
+                cold[epoch].solve(q)
+                if kind == "gids"
+                else cold[epoch].solve_canonical(q)
+            )
+            assert _same_result(got, want), (kind, epoch)
+
+
 class TestWalAppendVsCheckpoint:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_append_races_checkpoint_and_state(self, seed, tmp_path):

@@ -514,11 +514,18 @@ class TestFormatV4:
             assert meta["lattices"]
             for j, entry in enumerate(meta["lattices"]):
                 entry["has_sums"] = True
-                _, _, over_ranges, full_ranges = candidate_lattice_geometry(
+                x0, _, over_ranges, full_ranges = candidate_lattice_geometry(
                     session.index, entry["width"], entry["height"]
                 )
-                arrays[f"lat_{j}_full"] = range_sums(table, *full_ranges)
-                arrays[f"lat_{j}_over"] = range_sums(table, *over_ranges)
+                # The geometry's ranges are per axis: flatten the
+                # (nc, nr, C) sums to the earlier writers' (cells, C).
+                cells = x0.size
+                arrays[f"lat_{j}_full"] = range_sums(
+                    table, *full_ranges
+                ).reshape(cells, -1)
+                arrays[f"lat_{j}_over"] = range_sums(
+                    table, *over_ranges
+                ).reshape(cells, -1)
 
         return add_sums
 

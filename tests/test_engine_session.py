@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ASRSQuery
+from repro.core import ASRSQuery, Rect
 from repro.dssearch import SearchSettings, ds_search
 from repro.dssearch.canonical import TieCollectingEngine, run_pass1, run_pass2
 from repro.dssearch.search import DSSearchEngine
@@ -131,7 +131,7 @@ class TestSessionCaching:
         assert info["empty_reps"] == 1
         assert info["reductions"] == 1
         assert info["lattices"] == 1
-        assert info["cached_cells"] >= 1
+        assert info["cached_spaces"] >= 1
 
     def test_distinct_sizes_fill_reduction_cache(self):
         rng = np.random.default_rng(3)
@@ -188,7 +188,7 @@ class TestSessionCaching:
         session = QuerySession(dataset, settings=SMALL)
         first = session.solve(query)
         session.clear_caches()
-        assert session.cache_info()["cached_cells"] == 0
+        assert session.cache_info()["cached_spaces"] == 0
         assert not session.cache_info()["index_built"]
         again = session.solve(query)
         assert _same_result(first, again)
@@ -297,21 +297,42 @@ class TestVerifiedCandidates:
 
 
 class TestCanonicalRootSeeds:
-    """Hole-free canonical solves reuse the session's per-piece root
-    seeds; the reuse never changes an answer and never outlives the
-    dataset it was computed from."""
+    """Hole-free canonical solves seed both passes from the session's
+    space memo for their shape (roots and split children); the reuse
+    never changes an answer, and an update keeps only the entries no
+    changed rectangle touches."""
 
     @staticmethod
-    def _count_level0(monkeypatch) -> list:
-        calls = []
-        original = DSSearchEngine.level0_accumulation
+    def _accumulations(session, monkeypatch) -> list:
+        """Per engine the session assembles from now on, its stats."""
+        made = []
+        original = session._engine
 
-        def counting(self, space, active, sub):
-            calls.append(space)
-            return original(self, space, active, sub)
+        def recording(*args, **kwargs):
+            engine = original(*args, **kwargs)
+            made.append(engine.stats)
+            return engine
 
-        monkeypatch.setattr(DSSearchEngine, "level0_accumulation", counting)
-        return calls
+        monkeypatch.setattr(session, "_engine", recording)
+        return made
+
+    @staticmethod
+    def _summed_keys(monkeypatch) -> list:
+        """The memo key of every space any engine sums from now on."""
+        keys = []
+        original = DSSearchEngine._accumulation
+
+        def recording(self, grid, space, active, root):
+            before = self.stats.accumulations
+            out = original(self, grid, space, active, root)
+            if self.stats.accumulations > before:
+                keys.append(
+                    (root, space.x_min, space.y_min, space.x_max, space.y_max)
+                )
+            return out
+
+        monkeypatch.setattr(DSSearchEngine, "_accumulation", recording)
+        return keys
 
     def _queries(self, seed: int = 41):
         dataset, query = _random_instance(seed, 60)
@@ -327,21 +348,33 @@ class TestCanonicalRootSeeds:
     def test_second_solve_of_a_shape_computes_no_root(self, monkeypatch):
         dataset, query, other = self._queries()
         session = QuerySession(dataset, settings=SMALL)
-        calls = self._count_level0(monkeypatch)
+        made = self._accumulations(session, monkeypatch)
+        summed = self._summed_keys(monkeypatch)
         session.solve_canonical(query)
-        # One root per stored piece: pass 2 reused pass 1's roots.
-        assert len(calls) == session.cache_info()["root_seeds"] >= 1
-        calls.clear()
-        session.solve_canonical(other)
+        # Pass 2 re-walked pass 1's spaces without summing them again.
+        assert made[0].accumulations == session.cache_info()["cached_spaces"] >= 1
+        assert made[1].accumulations == 0
+        (memo,) = session._spaces.values()
+        roots = {key for key in memo if key[0]}
+        assert roots
+        # Another target of the shape adds and sums no root: every root
+        # it searches is served by key.  Its split children follow its
+        # own search, so only they may be new.
+        summed.clear()
+        first = session.solve_canonical(other)
+        assert {key for key in memo if key[0]} == roots
+        assert not [key for key in summed if key[0]]
+        made.clear()
+        session.solve_canonical(query)
         session.solve_canonical_with_epoch(query)
-        assert calls == []
-        # A hole cuts new pieces: those roots are computed per solve and
-        # never stored.
-        before = session.cache_info()["root_seeds"]
-        first = session.solve_canonical(query)
+        assert [stats.accumulations for stats in made] == [0, 0, 0, 0]
+        # A hole cuts new pieces: those spaces are memoized per solve
+        # and never stored.
+        before = session.cache_info()["cached_spaces"]
+        made.clear()
         session.solve_canonical(query, holes=(first.region,))
-        assert len(calls) >= 1
-        assert session.cache_info()["root_seeds"] == before
+        assert sum(stats.accumulations for stats in made) >= 1
+        assert session.cache_info()["cached_spaces"] == before
 
     def test_seeded_answers_equal_cold_sessions(self):
         dataset, query, other = self._queries(43)
@@ -356,38 +389,62 @@ class TestCanonicalRootSeeds:
         session.warm_for(query)
         warm = session.cache_nbytes()
         session.solve_canonical(query)
-        assert session.cache_info()["root_seeds"] >= 1
+        assert session.cache_info()["cached_spaces"] >= 1
         assert session.cache_nbytes() > warm
         session.clear_caches()
-        assert session.cache_info()["root_seeds"] == 0
+        assert session.cache_info()["cached_spaces"] == 0
         assert session.cache_nbytes() == 0
 
-    def test_update_drops_the_seeds(self):
+    def test_update_keeps_untouched_seeds(self):
+        """An update drops the spaces a changed rectangle touches (here
+        the whole-bounds piece) and keeps the rest: a tile's piece far
+        from every change keeps its root entry, still the global
+        overlap set of the piece."""
         dataset, query, other = self._queries(47)
         session = QuerySession(dataset, settings=SMALL)
-        first = session.solve_canonical(query)
-        # Change rows without moving the bounds: the search pieces keep
-        # their coordinates, so a stale seed would still match a piece.
-        covered = np.flatnonzero(dataset.mask_in_region(first.region))
-        interior = [
+        left = Rect(-100.0, -100.0, 20.0, 200.0)
+        session.solve_canonical(query)
+        session.solve_canonical(query, domain=left)
+        rects = session.reduction_for(query.width, query.height)[0]
+        bounds = rects.bounds()
+        piece = bounds.intersection(left)
+        whole_key = (True, bounds.x_min, bounds.y_min, bounds.x_max, bounds.y_max)
+        piece_key = (True, piece.x_min, piece.y_min, piece.x_max, piece.y_max)
+        (memo,) = session._spaces.values()
+        assert whole_key in memo and piece_key in memo
+        # Change rows without moving the bounds, all far right of the
+        # tile: their query-sized rectangles cannot reach its piece.
+        b = dataset.bounds()
+        right = [
             int(i)
-            for i in covered
-            if dataset.xs.min() < dataset.xs[i] < dataset.xs.max()
-            and dataset.ys.min() < dataset.ys[i] < dataset.ys.max()
-        ]
-        assert len(interior) >= 2
-        session.apply(
+            for i in np.flatnonzero(dataset.xs > 45.0)
+            if b.x_min < dataset.xs[i] < b.x_max
+            and b.y_min < dataset.ys[i] < b.y_max
+        ][:4]
+        assert len(right) >= 2
+        before = session.cache_info()["cached_spaces"]
+        stats = session.apply(
             UpdateBatch(
-                delete=interior,
-                append=[(30.0, 30.0, {"kind": "k0", "score": 1.0})],
+                delete=right,
+                append=[(50.0, 30.0, {"kind": "k0", "score": 1.0})],
             )
         )
-        assert session.cache_info()["root_seeds"] == 0
+        assert stats.cell_entries_kept + stats.cell_entries_dropped == before
+        assert stats.cell_entries_kept >= 1 and stats.cell_entries_dropped >= 1
+        (memo,) = session._spaces.values()
+        assert len(memo) == stats.cell_entries_kept
+        assert whole_key not in memo
+        rects = session.reduction_for(query.width, query.height)[0]
+        assert np.array_equal(
+            memo[piece_key][0], np.flatnonzero(rects.overlap_mask(piece))
+        )
         for q in (query, other):
             cold = QuerySession(session.dataset, settings=SMALL)
-            assert _same_result(
-                session.solve_canonical(q), cold.solve_canonical(q)
-            )
+            for domain in (None, left):
+                assert _same_result(
+                    session.solve_canonical(q, domain=domain),
+                    cold.solve_canonical(q, domain=domain),
+                )
 
     def test_topk_with_holes_equals_cold_session(self):
         dataset, query, other = self._queries(53)

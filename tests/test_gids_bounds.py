@@ -67,3 +67,65 @@ def test_lattice_covers_all_data_corners(seed):
         assert any(
             c.contains_point_closed(px, py) for c in cell_rects
         ), (px, py)
+
+
+def _meshgrid_geometry(index, width, height):
+    """The per-cell lattice geometry as it was first written: every
+    Lemma-8 range array materialized per lattice cell (the reference
+    for the per-axis form)."""
+    from repro.dssearch.grid import axis_cell_range
+
+    a, b = float(width), float(height)
+    pad_cols = int(np.ceil(a / index.cell_width))
+    pad_rows = int(np.ceil(b / index.cell_height))
+    cc, rr = np.meshgrid(
+        np.arange(-pad_cols, index.sx), np.arange(-pad_rows, index.sy), indexing="ij"
+    )
+    cc, rr = cc.ravel(), rr.ravel()
+    x0 = index.space.x_min + cc * index.cell_width
+    x1 = x0 + index.cell_width
+    y0 = index.space.y_min + rr * index.cell_height
+    y1 = y0 + index.cell_height
+    over = (
+        *axis_cell_range(index.xs, x0, x1 + a, index.sx, "over"),
+        *axis_cell_range(index.ys, y0, y1 + b, index.sy, "over"),
+    )
+    full = (
+        *axis_cell_range(index.xs, x1, np.maximum(x0 + a, x1), index.sx, "full"),
+        *axis_cell_range(index.ys, y1, np.maximum(y0 + b, y1), index.sy, "full"),
+    )
+    return x0, y0, over, full
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    sx=st.integers(1, 12),
+    sy=st.integers(1, 12),
+    # Region sizes from a hundredth of a cell (the bounded region is
+    # empty) to most of the data extent.
+    w=st.floats(0.05, 50.0),
+    h=st.floats(0.05, 50.0),
+)
+def test_per_axis_lattice_geometry_matches_per_cell(seed, n, sx, sy, w, h):
+    """The per-axis geometry yields the per-cell geometry's corners and
+    lattice intervals, byte for byte."""
+    from repro.core.channels import ChannelCompiler
+    from repro.index.gids import (
+        candidate_lattice_geometry,
+        candidate_lattice_intervals,
+    )
+
+    rng = np.random.default_rng(seed)
+    ds = make_random_dataset(rng, n, extent=60.0, snap=None if seed % 2 else 1.0)
+    index = GridIndex.build(ds, sx, sy)
+    compiler = ChannelCompiler(ds, random_aggregator())
+    reference = _meshgrid_geometry(index, w, h)
+    geometry = candidate_lattice_geometry(index, w, h)
+    assert geometry[0].tobytes() == reference[0].tobytes()
+    assert geometry[1].tobytes() == reference[1].tobytes()
+    got = candidate_lattice_intervals(index, compiler, w, h, geometry=geometry)
+    want = candidate_lattice_intervals(index, compiler, w, h, geometry=reference)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
