@@ -641,7 +641,7 @@ def _serve_entries(args) -> list:
 
 def _open_shard_router(args):
     """A ShardRouter over a `repro shard-plan` directory; ``(router, keys)``."""
-    from .shard import PlanMismatchError, ShardRouter
+    from .shard import PlanMismatchError, ShardOpenError, ShardRouter
 
     if args.follow or args.index or args.wal:
         args.parser.error(
@@ -657,16 +657,20 @@ def _open_shard_router(args):
             name = "default"
     try:
         router = ShardRouter.open(args.shards, base_data=base, name=name)
-    except (ValueError, OSError, PlanMismatchError) as exc:
+    except (ValueError, OSError, PlanMismatchError, ShardOpenError) as exc:
         raise SystemExit(f"cannot open --shards {args.shards}: {exc}")
     return router, [name]
 
 
 def cmd_serve(args) -> int:
     """Serve the facade over HTTP (writer, replica, or shard router)."""
+    from .blas import pin_one_thread
     from .service import DatasetSpec, DurabilityPolicy, RegionService
     from .service.httpd import WalFollower, make_server
 
+    # Before any dataset opens: requests and shard workers are this
+    # process's parallelism, so one BLAS thread (DESIGN.md §11.7).
+    blas = pin_one_thread()
     if args.follow and not args.wal:
         args.parser.error("--follow needs --wal (the writer's log to follow)")
     if not args.shards and not args.data:
@@ -758,6 +762,13 @@ def cmd_serve(args) -> int:
     )
     from . import faults
 
+    if blas is None:
+        print("blas: no known OpenBLAS mapped; thread count left as is", flush=True)
+    else:
+        print(
+            f"blas: {blas['library']} pinned to {blas['threads']} thread(s)",
+            flush=True,
+        )
     armed = faults.active()
     if armed:
         print(f"failpoints armed: {armed}", flush=True)

@@ -78,6 +78,9 @@ class SpatialDataset:
         self._ys = ys
         self._schema = schema
         self._columns = encoded
+        # (sorted xs, sorted ys) for :meth:`region_rank_keys`, built on
+        # first use: the dataset is immutable, so it never goes stale.
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -161,6 +164,36 @@ class SpatialDataset:
             & (self._xs < region.x_max)
             & (self._ys > region.y_min)
             & (self._ys < region.y_max)
+        )
+
+    def region_rank_keys(
+        self, xs: np.ndarray, ys: np.ndarray, width: float, height: float
+    ) -> np.ndarray:
+        """``(m, 4)`` coordinate-rank keys of the regions anchored at ``(xs, ys)``.
+
+        Row ``i`` is ``(#xs <= x, #xs < fl(x + width), #ys <= y,
+        #ys < fl(y + height))`` for the region
+        ``region_for_point(x, y, width, height)``.  Under
+        :meth:`mask_in_region`'s open containment the x condition
+        selects the contiguous run ``[a, b)`` of the x-sorted order and
+        the y condition the run ``[c, d)`` of the y-sorted order, so two
+        equal rows cover the same object set -- with duplicates, signed
+        zeros and objects exactly on an edge alike.  The key is finer
+        than the set: unequal rows may still cover equal sets.
+        """
+        if self._sorted is None:
+            self._sorted = (np.sort(self._xs), np.sort(self._ys))
+        sx, sy = self._sorted
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        return np.stack(
+            [
+                np.searchsorted(sx, xs, side="right"),
+                np.searchsorted(sx, xs + width, side="left"),
+                np.searchsorted(sy, ys, side="right"),
+                np.searchsorted(sy, ys + height, side="left"),
+            ],
+            axis=1,
         )
 
     def count_in_region(self, region: Rect) -> int:

@@ -83,10 +83,19 @@ class TieCollectingEngine(DSSearchEngine):
     the engine's :meth:`~DSSearchEngine._verify_once` verifies each set
     once, and only the first anchor of each tied set is recorded --
     :func:`canonical_pick` canonicalizes per set, so the answer does not
-    depend on which anchor stands for it.  Its accumulations come from
-    the space memo it shares with the pass-1 engine (see
-    :func:`solve_canonical`).
+    depend on which anchor stands for it.  Before any O(n) membership
+    mask is built, candidates are deduplicated by their coordinate-rank
+    key (:meth:`~repro.core.objects.SpatialDataset.region_rank_keys`):
+    equal keys cover equal sets, so a key this engine has seen belongs
+    to a set already verified.  Its accumulations come from the space
+    memo it shares with the pass-1 engine (see :func:`solve_canonical`).
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Rank keys already handed to _verify_once; lives as long as
+        # the engine's verified-set memo.
+        self._ranked: set[tuple[int, ...]] = set()
 
     def arm(self, dstar: float) -> None:
         self.dstar = float(dstar)
@@ -107,10 +116,24 @@ class TieCollectingEngine(DSSearchEngine):
     def offer_batch(
         self, px: np.ndarray, py: np.ndarray, dists: np.ndarray
     ) -> bool:
-        for i in np.flatnonzero(dists <= self.margin):
-            x, y = float(px[i]), float(py[i])
-            verified, first = self._verify_once(x, y)
-            if first and verified == self.dstar:
+        near = np.flatnonzero(dists <= self.margin)
+        if not near.size:
+            return False
+        keys = self.dataset.region_rank_keys(
+            px[near], py[near], self.query.width, self.query.height
+        )
+        # First occurrence of each key, in offer order: a set's first
+        # candidate is always one, so the recorded anchors are those
+        # a key-free pass would record.
+        _, first = np.unique(keys, axis=0, return_index=True)
+        first.sort()
+        for j, key in zip(first, map(tuple, keys[first].tolist())):
+            if key in self._ranked:
+                continue
+            self._ranked.add(key)
+            x, y = float(px[near[j]]), float(py[near[j]])
+            verified, fresh = self._verify_once(x, y)
+            if fresh and verified == self.dstar:
                 self.tied.append((x, y))
         return False  # the incumbent never improves in pass 2
 

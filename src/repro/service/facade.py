@@ -46,6 +46,7 @@ import numpy as np
 
 from .. import faults
 from ..analysis.sanitizer import make_lock, sanitize_class
+from ..blas import blas_info
 from ..core.aggregators import (
     AverageAggregator,
     CompositeAggregator,
@@ -974,6 +975,7 @@ class RegionService:
             "health": health["state"],
             "datasets": datasets,
             "pool": {k: v for k, v in pool_info.items() if k != "durability"},
+            "blas": blas_info(),
         }
 
     def close(self) -> list:

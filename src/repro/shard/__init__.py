@@ -11,12 +11,13 @@ session would return.
 
 from .plan import PlanMismatchError, ShardPlan, split_dataset
 from .router import ShardRouter
-from .worker import LocalShardBackend, ProcessShardBackend
+from .worker import LocalShardBackend, ProcessShardBackend, ShardOpenError
 
 __all__ = [
     "LocalShardBackend",
     "PlanMismatchError",
     "ProcessShardBackend",
+    "ShardOpenError",
     "ShardPlan",
     "ShardRouter",
     "split_dataset",

@@ -64,6 +64,7 @@ import numpy as np
 
 from .. import faults
 from ..analysis.sanitizer import make_lock, sanitize_class
+from ..blas import blas_info
 from ..core.geometry import Rect
 from ..dssearch.canonical import canonical_seed
 from ..engine.gate import SharedExclusiveGate
@@ -882,6 +883,7 @@ class ShardRouter:
                     "rows": len(self._shard_ids[s]),
                     "wal_records": self._wal_records[s],
                     "since_checkpoint": self._since_ckpt[s],
+                    "blas": self._backends[s].ready.get("blas"),
                 }
                 for s in range(self.plan.n_shards)
             }
@@ -899,6 +901,7 @@ class ShardRouter:
             "dead": [self.plan.shard_key(s) for s in dead],
             "pending_update": pending,
             "shards": shards,
+            "blas": blas_info(),
         }
 
     def close(self) -> list:

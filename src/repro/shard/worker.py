@@ -32,6 +32,7 @@ from typing import Optional
 
 from .. import faults
 from ..analysis.sanitizer import make_lock
+from ..blas import blas_info, pin_one_thread
 from ..core.geometry import Rect
 from ..service.types import (
     QueryRequest,
@@ -52,6 +53,10 @@ _MAX_FRAME = 1 << 30
 
 class ShardDeadError(ConnectionError):
     """The worker's pipe is gone (crash, kill, or protocol corruption)."""
+
+
+class ShardOpenError(RuntimeError):
+    """A shard worker started but could not open its shard."""
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +139,7 @@ class ShardServer:
             "n": self.open_result.n,
             "epoch": self.open_result.epoch,
             "replayed": self.open_result.replayed,
+            "blas": blas_info(),
         }
 
     def _solve_one(self, payload: dict) -> dict:
@@ -263,6 +269,9 @@ def worker_main(conn: socket.socket, plan_dict: dict, spec_dict: dict,
     """The worker process entry point (module-level: spawn-picklable)."""
     from ..service.types import DatasetSpec
 
+    # Shards are the router's parallelism: one BLAS thread each
+    # (DESIGN.md §11.7).  numpy is loaded by this module's imports.
+    pin_one_thread()
     try:
         server = ShardServer(
             ShardPlan.from_dict(plan_dict),
@@ -309,12 +318,22 @@ class ProcessShardBackend:
         )
         self.process.start()
         child.close()
-        self.ready = recv_frame(parent)
-        if not self.ready.get("ok"):
+        try:
+            self.ready = recv_frame(parent)
+            if not self.ready.get("ok"):
+                raise ShardOpenError(
+                    f"shard {shard} worker failed to open: "
+                    f"{self.ready.get('error')}"
+                )
+        except BaseException:
+            # No backend object survives a failed open: release its
+            # pipe and reap its worker here, or nothing ever will.
+            parent.close()
             self.process.join(timeout=10)
-            raise RuntimeError(
-                f"shard {shard} worker failed to open: {self.ready.get('error')}"
-            )
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout=10)
+            raise
 
     def request(self, frame: dict) -> dict:
         with self._pipe:

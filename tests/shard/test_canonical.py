@@ -157,6 +157,61 @@ def _plateau(seed: int):
     return ds, ASRSQuery.from_vector(15.0, 12.0, agg, target)
 
 
+class _MemoOnlyCollector(TieCollectingEngine):
+    """Pass 2 without rank keys: every candidate within the margin goes
+    to the verified-set memo."""
+
+    def offer_batch(self, px, py, dists):
+        for i in np.flatnonzero(dists <= self.margin):
+            x, y = float(px[i]), float(py[i])
+            verified, first = self._verify_once(x, y)
+            if first and verified == self.dstar:
+                self.tied.append((x, y))
+        return False
+
+
+class _CountingCollector(TieCollectingEngine):
+    """Pass 2 that counts the candidates it is offered, their distinct
+    coordinate-rank keys, and its calls into ``_verify_once``."""
+
+    def arm(self, dstar):
+        super().arm(dstar)
+        self.offered = 0
+        self.keys = set()
+        self.verify_calls = 0
+
+    def offer_batch(self, px, py, dists):
+        near = np.flatnonzero(dists <= self.margin)
+        self.offered += near.size
+        keys = self.dataset.region_rank_keys(
+            px[near], py[near], self.query.width, self.query.height
+        )
+        self.keys.update(map(tuple, keys.tolist()))
+        return super().offer_batch(px, py, dists)
+
+    def _verify_once(self, x, y):
+        self.verify_calls += 1
+        return super()._verify_once(x, y)
+
+
+class TestPass2RankDedupe:
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_verify_calls_bounded_by_distinct_rank_keys(self, seed):
+        ds, query = _plateau(seed)
+        dstar = run_pass1(DSSearchEngine(ds, query))
+        collector = _CountingCollector(ds, query)
+        tied = run_pass2(collector, dstar)
+        assert collector.verify_calls <= len(collector.keys)
+        assert collector.verify_calls < collector.offered
+        # Without the keys: the same anchors, the same verifications.
+        reference = _MemoOnlyCollector(ds, query)
+        assert run_pass2(reference, dstar) == tied
+        assert (
+            reference.stats.verified_candidates
+            == collector.stats.verified_candidates
+        )
+
+
 class TestPass2VerifiesEachSetOnce:
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_one_verification_per_distinct_covered_set(self, seed):

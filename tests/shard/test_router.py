@@ -7,11 +7,14 @@ compaction, a clean close, and a cold reopen from disk.
 """
 
 import dataclasses
+import multiprocessing
+import socket
 import threading
 
 import numpy as np
 import pytest
 
+from repro.blas import blas_info
 from repro.core.geometry import Rect
 from repro.core.objects import SpatialDataset
 from repro.data.io import save_csv
@@ -19,6 +22,8 @@ from repro.service.facade import DatasetUnavailable, RegionService
 from repro.service.types import DatasetSpec, QueryRequest, UpdateRequest
 from repro.shard import (
     PlanMismatchError,
+    ProcessShardBackend,
+    ShardOpenError,
     ShardPlan,
     ShardRouter,
     split_dataset,
@@ -246,6 +251,18 @@ class TestLocalBackend:
             router.close()
 
 
+def _assert_workers_pinned(router):
+    """Every worker process runs one BLAS thread (DESIGN.md §11.7).
+
+    Where numpy maps no known OpenBLAS, the workers (the same
+    interpreter) must report none either; the drill goes on.
+    """
+    here = blas_info()
+    pinned = None if here is None else {"library": here["library"], "threads": 1}
+    shards = router.stats()["shards"]
+    assert [s["blas"] for s in shards.values()] == [pinned] * len(shards)
+
+
 class TestProcessBackend:
     def test_crash_recover_compact_reopen_drill(self, tmp_path):
         """The full lifecycle drill against real worker processes."""
@@ -261,6 +278,7 @@ class TestProcessBackend:
             base_data=base,
         )
         _assert_identical(ds, router, REQ)
+        _assert_workers_pinned(router)
 
         upd = UpdateRequest(
             dataset="default",
@@ -308,6 +326,7 @@ class TestProcessBackend:
         out = router.recover()
         assert out["restarted"] == ["shard001"]
         assert router.health()["state"] == "ok"
+        _assert_workers_pinned(router)  # the restarted worker too
         _assert_identical(ds2, router, REQ)
         _assert_identical(ds2, router, other)
 
@@ -368,3 +387,34 @@ class TestProcessBackend:
         save_csv(ds, base)
         with pytest.raises(PlanMismatchError):
             ShardRouter.open(str(tmp_path), base_data=base, backend="process")
+
+
+class TestFailedWorkerOpen:
+    def test_corrupt_bundle_releases_pipe_and_worker(self, tmp_path, monkeypatch):
+        ds, plan, specs = _fixture(tmp_path, seed=7, n=40)
+        with open(specs[1].index, "wb") as bundle:
+            bundle.write(b"not a bundle" * 16)
+        pairs, workers = [], []
+        real_pair = socket.socketpair
+
+        def recording_pair(*args):
+            pair = real_pair(*args)
+            pairs.append(pair)
+            return pair
+
+        ctx = multiprocessing.get_context("spawn")
+        real_process = ctx.Process
+
+        def recording_process(*args, **kwargs):
+            workers.append(real_process(*args, **kwargs))
+            return workers[-1]
+
+        monkeypatch.setattr(socket, "socketpair", recording_pair)
+        monkeypatch.setattr(ctx, "Process", recording_process)
+        with pytest.raises(ShardOpenError, match="shard 1 worker failed to open"):
+            ProcessShardBackend(plan, specs[1], 1)
+        [(parent, child)] = pairs
+        [worker] = workers
+        assert parent.fileno() == -1 and child.fileno() == -1
+        assert not worker.is_alive()
+        assert worker.exitcode is not None

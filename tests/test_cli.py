@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, parse_term
@@ -829,3 +834,30 @@ class TestWalReplayCli:
                     "--wal", str(tmp_path / "typo.wal"),
                 ]
             )
+
+
+class TestServeShardsOpenFailure:
+    def test_corrupt_shard_bundle_exits_with_a_message(self, tmp_path):
+        """A worker that cannot open its shard fails `serve --shards`
+        with one line on stderr, not a traceback."""
+        data = tmp_path / "tw.csv"
+        assert main(["generate", "--kind", "tweets", "--n", "600",
+                     "--out", str(data)]) == 0
+        shards = tmp_path / "shards"
+        assert main(["shard-plan", "--data", str(data),
+                     "--categorical", "day_of_week", "--numeric", "length",
+                     "--nx", "2", "--ny", "1", "--wmax", "0.6", "--hmax", "0.3",
+                     "--out", str(shards)]) == 0
+        (shards / "shard001.bundle").write_bytes(b"garbage" * 64)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--shards", str(shards), "--port", "0"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert f"cannot open --shards {shards}: " in proc.stderr
+        assert "shard 1 worker failed to open" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -202,6 +202,50 @@ class TestReadOnlyReplica:
             thread.join(timeout=10)
 
 
+class TestServedBlasPin:
+    def test_stats_reads_one_blas_thread(self, tmp_path):
+        """`repro serve` pins its BLAS pool at start-up, names it on
+        stdout and reports the live count at /stats."""
+        from repro.blas import blas_info
+
+        here = blas_info()
+        ds = make_random_dataset(np.random.default_rng(5), 60, extent=50.0)
+        data = tmp_path / "d.csv"
+        save_csv(ds, data)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--data", str(data), "--categorical", "kind",
+                "--numeric", "score", "--port", "0",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "on http://" in line, (line, proc.stderr.read())
+            base = line.strip().rsplit(" on ", 1)[1]
+            banner = proc.stdout.readline()
+            blas = _get(base, "/stats")["blas"]
+            if here is None:  # no known OpenBLAS: nothing pinned, said so
+                assert blas is None
+                assert banner.startswith("blas: no known OpenBLAS mapped")
+            else:
+                assert blas == {"library": here["library"], "threads": 1}
+                assert banner.strip() == (
+                    f"blas: {blas['library']} pinned to 1 thread(s)"
+                )
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
+
+
 class TestCrashRecovery:
     def test_kill_minus_nine_then_replay_is_bitwise_identical(self, tmp_path):
         """The acceptance drill: serve over HTTP, update durably, SIGKILL
