@@ -1,20 +1,16 @@
 """Micro-benchmark of the zero-churn query engine (DESIGN.md §7-§8).
 
-Times five ways of answering a batch of same-shaped ASRS queries on
-the Fig. 10 scalability workload (Tweet + POISyn, query size 10q):
+Times three ways of answering a batch of same-shaped ASRS queries on
+the Fig. 10 scalability workload (Tweet + POISyn, query size 10q), plus
+the update, recovery and overhead rows below:
 
 * **cold** -- one public ``gi_ds_search`` call per query, paying the
   index build and every per-dataset precomputation each time;
 * **warm** -- a pre-warmed :class:`repro.engine.QuerySession`, one
   ``solve`` per query;
 * **batch** -- ``QuerySession.solve_batch`` on a fresh session, i.e.
-  warm-path throughput *including* the one-off session warm-up;
-* **parallel** -- ``solve_batch(workers=N)`` on the pre-warmed session:
-  the thread-safe caches under concurrent solves (numpy releases the
-  GIL on the heavy kernels, so multi-core runners overlap real work;
-  single-core runners degenerate to ~warm);
-* **warm-from-disk** -- ``save_session`` + ``load_session`` + a serial
-  batch: what a restarted server pays instead of the cold build.
+  warm-path throughput *including* the one-off session warm-up, which
+  is also what a restarted server pays (a restart starts cold);
 * **incremental** -- a live update stream: eight rounds of "mutate
   (append ~0.2% in-bounds objects, delete ~0.2% interior objects via
   ``QuerySession.apply``) then serve a slice of the batch", on one
@@ -23,19 +19,18 @@ the Fig. 10 scalability workload (Tweet + POISyn, query size 10q):
   dataset.  Per-round answers must be bitwise-identical between the
   two; the speedup is what in-place patching saves over a per-change
   rebuild when updates are frequent.
-* **wal_replay** -- crash recovery: the warm session's bundle is saved
-  *before* the stream, every stream batch is write-ahead-logged, then a
-  "restarted server" recovers by ``load_session`` + ``replay`` and
-  serves the batch -- versus rebuilding a cold session on the final
-  dataset.  Recovered answers must be bitwise-identical to the cold
-  rebuild, and no cold channel-table rebuild may happen on restore
-  (the bundle's pending cell sums are patched through replay).
+* **wal_replay** -- crash recovery: the session's bundle (its epoch
+  record) is saved *before* the stream, every stream batch is
+  write-ahead-logged, then a "restarted server" recovers by
+  ``load_session`` (a cold session at the bundle's epoch) + ``replay``
+  and serves the batch -- versus a cold session on the final dataset.
+  Recovered answers must be bitwise-identical to the cold session's.
   Note the baseline is *given* the final dataset, which a crashed
   server without a WAL does not have -- its on-disk CSV is at the
   bundle's epoch and the updates are simply lost.  The row therefore
   checks identity and keeps recovery cost observable (expect rough
-  parity: replay does O(records) sublinear patches against the cold
-  path's one O(n) build); the WAL's value is durability, not speed.
+  parity: replay applies one composed batch to the baseline before
+  the cold build); the WAL's value is durability, not speed.
 * **service_overhead** -- the typed serving facade: the same queries
   answered through :class:`repro.service.RegionService` (typed
   ``QueryRequest`` in, structured ``RegionResult`` out, per-query
@@ -130,7 +125,7 @@ def identical(a, b) -> bool:
     )
 
 
-def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
+def bench_config(kind: str, n: int, n_queries: int) -> dict:
     dataset, queries = make_queries(kind, n, n_queries)
     session = QuerySession(dataset)
     granularity = session.granularity
@@ -151,29 +146,6 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
     t0 = time.perf_counter()
     batch = QuerySession(dataset).solve_batch(queries)
     batch_s = time.perf_counter() - t0
-
-    # Parallel: a thread pool over a session warmed exactly like the
-    # warm row (one untimed solve) -- NOT the session the warm row ran
-    # on, whose per-cell caches the timed warm solves already filled;
-    # that would conflate cell-cache reuse with parallelism.
-    psession = QuerySession(dataset)
-    psession.solve(queries[0])
-    t0 = time.perf_counter()
-    parallel = psession.solve_batch(queries, workers=workers)
-    parallel_s = time.perf_counter() - t0
-
-    # Warm-from-disk: persist the warm session, restore it into a fresh
-    # one, serve the batch.  Load and solve are reported separately so
-    # the restart cost is visible next to the steady-state rate.
-    with tempfile.TemporaryDirectory() as tmp:
-        bundle = os.path.join(tmp, "session.idx")
-        save_session(session, bundle)
-        t0 = time.perf_counter()
-        restored = load_session(bundle, dataset)
-        disk_load_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        disk = restored.solve_batch(queries)
-        disk_solve_s = time.perf_counter() - t0
 
     # Service overhead: the typed facade versus direct session solves.
     # Both sides run the identical workload on fresh sessions warmed by
@@ -321,10 +293,10 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         )
     rebuild_s = time.perf_counter() - t0
 
-    # WAL replay: save the warm bundle at the stream's start, log the
-    # whole stream, then recover (load + replay + serve) versus the
-    # crash recovery a server without a WAL must do (cold rebuild on
-    # the final dataset + serve).  Both must answer bitwise-identically.
+    # WAL replay: save the bundle (the epoch record) at the stream's
+    # start, log the whole stream, then recover (read the bundle +
+    # replay + serve) versus a cold session on the final dataset +
+    # serve.  Both must answer bitwise-identically.
     with tempfile.TemporaryDirectory() as tmp:
         wal_session = QuerySession(dataset, granularity=granularity)
         wal_session.solve(queries[0])
@@ -351,8 +323,8 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
 
     ok = (
         all(
-            identical(c, w) and identical(c, b) and identical(c, p) and identical(c, d)
-            for c, w, b, p, d in zip(cold, warm, batch, parallel, disk)
+            identical(c, w) and identical(c, b)
+            for c, w, b in zip(cold, warm, batch)
         )
         and all(
             identical(i, r)
@@ -368,13 +340,9 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         "n": n,
         "n_queries": n_queries,
         "granularity": list(granularity),
-        "workers": workers,
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "batch_s": round(batch_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "disk_load_s": round(disk_load_s, 4),
-        "disk_solve_s": round(disk_solve_s, 4),
         "direct_s": round(direct_s, 4),
         "service_s": round(service_s, 4),
         "service_overhead_pct": service_overhead_pct,
@@ -397,13 +365,9 @@ def bench_config(kind: str, n: int, n_queries: int, workers: int) -> dict:
         "wal_replay_s": round(wal_replay_s, 4),
         "wal_rebuild_s": round(wal_rebuild_s, 4),
         "wal_records_replayed": replay_stats.applied,
-        "wal_pending_tables_patched": replay_stats.pending_tables_patched,
         "wal_identical": wal_ok,
         "speedup_warm": round(cold_s / warm_s, 2),
         "speedup_batch": round(cold_s / batch_s, 2),
-        "speedup_parallel": round(cold_s / parallel_s, 2),
-        "parallel_vs_warm": round(warm_s / parallel_s, 2),
-        "speedup_warm_disk": round(cold_s / (disk_load_s + disk_solve_s), 2),
         "speedup_incremental": round(rebuild_s / incremental_s, 2),
         "speedup_wal_replay": round(wal_rebuild_s / wal_replay_s, 2),
         "identical": ok,
@@ -524,12 +488,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", default="5000,10000,20000,40000")
     parser.add_argument("--queries", type=int, default=16)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="threads for the parallel row (default: cpu count)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
         help="tiny sizes for CI: checks identity + writes the JSON fast",
@@ -539,26 +497,20 @@ def main(argv=None) -> int:
     kinds = args.kinds.split(",")
     sizes = [int(s) for s in args.sizes.split(",")]
     n_queries = args.queries
-    # At least two workers so the threaded path is really exercised
-    # (single-core runners then measure the thread-pool overhead).
-    workers = args.workers or max(2, os.cpu_count() or 1)
     if args.smoke:
         sizes, n_queries = [2000], 4
 
     configs = []
     for kind in kinds:
         for n in sizes:
-            cfg = bench_config(kind, n, n_queries, workers)
+            cfg = bench_config(kind, n, n_queries)
             configs.append(cfg)
             print(
                 f"{kind} n={n}: cold {cfg['cold_s']}s warm {cfg['warm_s']}s "
-                f"batch {cfg['batch_s']}s parallel {cfg['parallel_s']}s "
-                f"disk {cfg['disk_load_s']}+{cfg['disk_solve_s']}s "
+                f"batch {cfg['batch_s']}s "
                 f"incr {cfg['incremental_s']}s vs rebuild {cfg['rebuild_s']}s "
                 f"wal-replay {cfg['wal_replay_s']}s vs {cfg['wal_rebuild_s']}s -> "
                 f"warm {cfg['speedup_warm']}x batch {cfg['speedup_batch']}x "
-                f"parallel {cfg['speedup_parallel']}x "
-                f"warm-disk {cfg['speedup_warm_disk']}x "
                 f"incremental {cfg['speedup_incremental']}x "
                 f"wal-replay {cfg['speedup_wal_replay']}x "
                 f"identical={cfg['identical']}"
@@ -578,8 +530,6 @@ def main(argv=None) -> int:
     tot_cold = sum(c["cold_s"] for c in configs)
     tot_warm = sum(c["warm_s"] for c in configs)
     tot_batch = sum(c["batch_s"] for c in configs)
-    tot_parallel = sum(c["parallel_s"] for c in configs)
-    tot_disk = sum(c["disk_load_s"] + c["disk_solve_s"] for c in configs)
     tot_incremental = sum(c["incremental_s"] for c in configs)
     tot_rebuild = sum(c["rebuild_s"] for c in configs)
     tot_wal_replay = sum(c["wal_replay_s"] for c in configs)
@@ -593,7 +543,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "workers": workers,
         "smoke": args.smoke,
         "configs": configs,
         "shard_scaleout": shard_row,
@@ -601,13 +550,8 @@ def main(argv=None) -> int:
             "cold_s": round(tot_cold, 4),
             "warm_s": round(tot_warm, 4),
             "batch_s": round(tot_batch, 4),
-            "parallel_s": round(tot_parallel, 4),
-            "warm_disk_s": round(tot_disk, 4),
             "speedup_warm": round(tot_cold / tot_warm, 2),
             "speedup_batch": round(tot_cold / tot_batch, 2),
-            "speedup_parallel": round(tot_cold / tot_parallel, 2),
-            "parallel_vs_warm": round(tot_warm / tot_parallel, 2),
-            "speedup_warm_disk": round(tot_cold / tot_disk, 2),
             "incremental_s": round(tot_incremental, 4),
             "rebuild_s": round(tot_rebuild, 4),
             "speedup_incremental": round(tot_rebuild / tot_incremental, 2),
@@ -631,10 +575,8 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2)
     print(
         f"aggregate: warm {report['aggregate']['speedup_warm']}x, "
-        f"batch {report['aggregate']['speedup_batch']}x, "
-        f"parallel {report['aggregate']['speedup_parallel']}x "
-        f"({workers} workers on {os.cpu_count()} cpus), "
-        f"warm-from-disk {report['aggregate']['speedup_warm_disk']}x, "
+        f"batch {report['aggregate']['speedup_batch']}x "
+        f"on {os.cpu_count()} cpus, "
         f"incremental {report['aggregate']['speedup_incremental']}x vs rebuild, "
         f"wal-replay {report['aggregate']['speedup_wal_replay']}x vs cold restart, "
         f"shard scale-out {shard_row['speedup_routed']}x "

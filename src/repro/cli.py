@@ -41,28 +41,20 @@ where ``queries.json`` holds shared defaults plus per-query overrides::
      "queries": [{"target": [0,0,0,0,0,200,200]},
                  {"target": [50,50,50,50,50,0,0]}]}
 
-Precompute the session index once and serve batches warm from disk
-(``--workers`` additionally solves the batch on a thread pool)::
-
-    python -m repro.cli index-build --data tweets.csv \
-        --categorical day_of_week --queries queries.json --out tweets.idx
-
-    python -m repro.cli batch --data tweets.csv \
-        --categorical day_of_week --queries queries.json \
-        --index tweets.idx --workers 4
-
 Mutate a live dataset without rebuilding the index (append rows from a
-CSV and/or delete rows by index)::
+CSV and/or delete rows by index), saving the mutated CSV together with
+the bundle that records its epoch::
 
     python -m repro.cli update --data tweets.csv \
         --categorical day_of_week --queries queries.json \
         --append fresh.csv --delete 17,42 \
-        --index tweets.idx --save-index tweets.idx --save-data tweets.csv
+        --save-index tweets.idx --save-data tweets.csv
 
-Durable updates survive a crash without re-saving the bundle: ``--wal``
+Durable updates survive a crash without re-saving the data: ``--wal``
 write-ahead-logs every mutation (replaying any existing log first), and
 ``replay`` recovers a crashed server from the checkpointed (data,
-bundle) pair plus the log::
+bundle) pair plus the log.  The bundle holds only the epoch the CSV is
+at; without one the CSV counts as epoch 0::
 
     python -m repro.cli update --data tweets.csv \
         --categorical day_of_week --queries queries.json \
@@ -152,7 +144,7 @@ def _open_service(
     """A RegionService bound to the args' dataset; ``(service, key)``.
 
     The CSV is loaded here (errors propagate raw, as they always did);
-    bundle-restore failures get the targeted ``cannot load --index``
+    bundle-read failures get the targeted ``cannot load --index``
     message.  Replay is deliberately deferred (``replay_on_open=False``)
     so recovery is reported -- and its failures messaged -- separately
     via :meth:`RegionService.recover` (see ``_recover_wal``).
@@ -202,13 +194,13 @@ def _recover_wal(service, key, wal_path) -> None:
         print(
             f"replayed {stats.applied} WAL record(s) "
             f"(+{stats.appended} -{stats.deleted} objects, "
-            f"{stats.skipped} already covered by the index) "
+            f"{stats.skipped} already in --data at the bundle's epoch) "
             f"to epoch {stats.final_epoch}"
         )
 
 
 def _parse_batch_requests(service, key, path, method: str = "gids") -> list:
-    """The QueryRequest list of a batch/index-build JSON spec."""
+    """The QueryRequest list of a batch JSON spec."""
     from .service import QueryRequest
 
     with open(path) as fh:
@@ -295,8 +287,7 @@ def _print_persist(report, args) -> None:
         )
         print(
             "note: any bundle saved before this update is now stale for "
-            "this data+WAL pair; re-run with --save-index (or "
-            "`repro index-build`) to refresh it"
+            "this data+WAL pair; re-run with --save-index to refresh it"
         )
     elif report.wal_action == "side_copy":
         print(
@@ -371,36 +362,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    service, key = _open_service(args, index=args.index)
+    service, key = _open_service(args)
     requests = _parse_batch_requests(service, key, args.queries, method=args.method)
-    results = service.query_batch(requests, workers=args.workers)
+    results = service.query_batch(requests)
     _print_batch_results(results)
     if args.verbose:
         print(f"session: {service.session(key)!r}")
-    return 0
-
-
-def cmd_index_build(args) -> int:
-    """Warm a session for a batch spec's query shapes and save it.
-
-    The bundle feeds ``batch --index`` (or a server's
-    :class:`~repro.service.DatasetSpec`): every target-independent
-    artefact of the spec's (aggregator, width, height) shapes -- grid
-    index, channel tables, ASP reductions, lattice intervals -- is
-    precomputed here so a restarted server skips the cold build.
-    """
-    service, key = _open_service(
-        args, granularity=_parse_granularity(args.granularity)
-    )
-    requests = _parse_batch_requests(service, key, args.queries)
-    n_shapes = service.warm(requests)
-    service.persist(key, save_index=args.out)
-    session = service.session(key)
-    print(
-        f"wrote session index for {n_shapes} query shape(s) "
-        f"(granularity {session.granularity[0]}x{session.granularity[1]}, "
-        f"n={session.dataset.n}) to {args.out}"
-    )
     return 0
 
 
@@ -449,7 +416,7 @@ def cmd_update(args) -> int:
         f"kept {result.cell_entries_kept} cell entries"
         f"{', logged to WAL' if result.wal_logged else ''})"
     )
-    results = service.query_batch(requests, workers=args.workers)
+    results = service.query_batch(requests)
     _print_batch_results(results)
     report = service.persist(
         key, save_data=args.save_data, save_index=args.save_index
@@ -461,7 +428,7 @@ def cmd_update(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    """Recover a crashed server: stale bundle + WAL -> live session."""
+    """Recover a crashed server: checkpointed CSV + bundle + WAL -> live session."""
     if not os.path.exists(args.wal):
         # update --wal treats a missing log as "first run, create it";
         # a *recovery* command must fail closed instead -- a typo'd
@@ -481,7 +448,7 @@ def cmd_replay(args) -> int:
         requests = _parse_batch_requests(
             service, key, args.queries, method=args.method
         )
-        results = service.query_batch(requests, workers=args.workers)
+        results = service.query_batch(requests)
         _print_batch_results(results)
     report = service.persist(
         key, save_data=args.save_data, save_index=args.save_index
@@ -842,44 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", required=True, help="JSON file of query specs (see module doc)"
     )
     batch.add_argument("--method", choices=("gids", "ds"), default="gids")
-    batch.add_argument(
-        "--index",
-        help="session bundle from `index-build`: start warm instead of cold",
-    )
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="solve the batch on N threads (0/1 = serial; answers identical)",
-    )
     batch.add_argument("--verbose", action="store_true")
     batch.set_defaults(func=cmd_batch)
-
-    index_build = sub.add_parser(
-        "index-build",
-        help="precompute and save a session index for a batch spec",
-    )
-    index_build.add_argument(
-        "--data", required=True, help="CSV with x,y,attr columns"
-    )
-    index_build.add_argument(
-        "--categorical", action="append", default=[], metavar="COLUMN"
-    )
-    index_build.add_argument(
-        "--numeric", action="append", default=[], metavar="COLUMN"
-    )
-    index_build.add_argument(
-        "--queries",
-        required=True,
-        help="JSON batch spec: its (terms, width, height) shapes get warmed",
-    )
-    index_build.add_argument("--out", required=True, help="bundle path to write")
-    index_build.add_argument(
-        "--granularity",
-        default="auto",
-        help="grid granularity 'auto' (default) or 'SX,SY'",
-    )
-    index_build.set_defaults(func=cmd_index_build)
 
     update = sub.add_parser(
         "update",
@@ -900,7 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--delete", help="comma-separated row indices to delete (0-based)"
     )
     update.add_argument(
-        "--index", help="session bundle from `index-build`: start warm from disk"
+        "--index",
+        help="bundle recording the epoch --data is at (a checkpoint's or "
+        "--save-index's); --wal replays from that epoch (omitted: epoch 0)",
     )
     update.add_argument(
         "--wal",
@@ -908,8 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
         "log this update before applying (crash recovery via `replay`)",
     )
     update.add_argument(
-        "--save-index", help="re-save the mutated session bundle here "
-        "(atomic tmp + rename; checkpoints --wal)"
+        "--save-index",
+        help="write a bundle recording the mutated session's epoch here "
+        "(atomic tmp + rename; checkpoints --wal)",
     )
     update.add_argument(
         "--save-data",
@@ -917,18 +851,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bundle only loads against this data, not the original --data)",
     )
     update.add_argument("--method", choices=("gids", "ds"), default="gids")
-    update.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="solve the batch on N threads (0/1 = serial; answers identical)",
-    )
     update.add_argument("--verbose", action="store_true")
     update.set_defaults(func=cmd_update, parser=update)
 
     replay_cmd = sub.add_parser(
         "replay",
-        help="recover after a crash: replay a WAL onto a saved session bundle",
+        help="recover after a crash: replay a WAL from a checkpoint's epoch",
     )
     replay_cmd.add_argument(
         "--data", required=True,
@@ -943,26 +871,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_cmd.add_argument(
         "--index",
-        help="session bundle to fast-forward (omitted: replay onto a cold "
-        "session over --data)",
+        help="bundle recording the epoch --data is at; replay starts there "
+        "(omitted: --data counts as epoch 0)",
     )
     replay_cmd.add_argument(
         "--queries", help="JSON batch spec to answer after recovery"
     )
     replay_cmd.add_argument(
-        "--save-index", help="save the caught-up bundle here "
-        "(atomic tmp + rename; checkpoints --wal)"
+        "--save-index",
+        help="write a bundle recording the recovered epoch here "
+        "(atomic tmp + rename; checkpoints --wal)",
     )
     replay_cmd.add_argument(
         "--save-data", help="write the recovered dataset CSV here"
     )
     replay_cmd.add_argument("--method", choices=("gids", "ds"), default="gids")
-    replay_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="solve the batch on N threads (0/1 = serial; answers identical)",
-    )
     replay_cmd.add_argument("--verbose", action="store_true")
     replay_cmd.set_defaults(func=cmd_replay, parser=replay_cmd)
 
@@ -1107,7 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--index",
-        help="session bundle: restored on start, rewritten by checkpoints",
+        help="bundle recording the epoch --data is at: read on start so "
+        "--wal replays from there, rewritten by every checkpoint",
     )
     serve.add_argument(
         "--wal", help="write-ahead log for durable updates (and --follow)"
@@ -1126,7 +1050,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="checkpoint (CSV+bundle, truncate WAL) once the log holds K records",
+        help="checkpoint once the log holds K records: rewrite the CSV, "
+        "then the --index epoch record, then truncate the WAL",
     )
     serve.add_argument(
         "--checkpoint-every-bytes",

@@ -81,6 +81,13 @@ class SpatialDataset:
         # (sorted xs, sorted ys) for :meth:`region_rank_keys`, built on
         # first use: the dataset is immutable, so it never goes stale.
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
+        #: Each row's CSV line, as ``data/io.save_csv`` formatted it;
+        #: ``None`` until a save.  :meth:`subset` and :meth:`append` carry
+        #: the surviving rows' lines into the datasets they derive (``None``
+        #: for appended rows), so rewriting an updated dataset's CSV
+        #: formats only the rows its updates added.  Once set, a list is
+        #: never mutated: a save that fills rows in assigns a new one.
+        self.csv_rows: list | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -204,12 +211,16 @@ class SpatialDataset:
     ) -> "SpatialDataset":
         """A new dataset restricted to the selected rows."""
         idx = np.asarray(mask_or_indices)
-        return SpatialDataset(
+        out = SpatialDataset(
             self._xs[idx],
             self._ys[idx],
             self._schema,
             {name: col[idx] for name, col in self._columns.items()},
         )
+        if self.csv_rows is not None:
+            rows = np.flatnonzero(idx) if idx.dtype == bool else idx
+            out.csv_rows = list(map(self.csv_rows.__getitem__, rows.tolist()))
+        return out
 
     # ------------------------------------------------------------------
     # Mutation (immutable style: every change yields a new dataset)
@@ -230,7 +241,7 @@ class SpatialDataset:
                 "appended rows must share the dataset schema "
                 f"(got {list(other.schema.names)}, expected {list(self._schema.names)})"
             )
-        return SpatialDataset(
+        out = SpatialDataset(
             np.concatenate([self._xs, other._xs]),
             np.concatenate([self._ys, other._ys]),
             self._schema,
@@ -239,6 +250,9 @@ class SpatialDataset:
                 for name, col in self._columns.items()
             },
         )
+        if self.csv_rows is not None:
+            out.csv_rows = self.csv_rows + (other.csv_rows or [None] * other.n)
+        return out
 
     def append_records(self, records: Sequence[tuple]) -> "SpatialDataset":
         """:meth:`append` from raw ``(x, y, {attr: value})`` records."""

@@ -9,7 +9,10 @@ how the benchmark harness regenerates datasets deterministically.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
+
+import numpy as np
 
 from ..core.atomicio import replace_atomically
 from ..core.attributes import CategoricalAttribute, Schema
@@ -26,23 +29,53 @@ def save_csv(dataset: SpatialDataset, path: str | Path) -> None:
     :func:`~repro.core.atomicio.replace_atomically` sequence as
     :func:`~repro.engine.persist.save_session`.
     """
-    schema = dataset.schema
-    # .tolist() yields Python floats and the domain values themselves,
-    # never numpy scalars: csv.writer formats those as repr() / str(),
-    # which is what keeps the file's bytes stable.
-    columns = [dataset.xs.tolist(), dataset.ys.tolist()]
-    for attr in schema:
-        column = dataset.column(attr.name).tolist()
-        if isinstance(attr, CategoricalAttribute):
-            column = attr.decode(column)
-        columns.append(column)
+    rows = dataset.csv_rows
+    if rows is None:
+        rows = _csv_lines(dataset, np.arange(dataset.n))
+    elif None in rows:
+        missing = [i for i, row in enumerate(rows) if row is None]
+        rows = list(rows)
+        for i, line in zip(missing, _csv_lines(dataset, np.asarray(missing))):
+            rows[i] = line
+    dataset.csv_rows = rows
+    header = ",".join(_csv_field(name) for name in ("x", "y", *dataset.schema.names))
 
     def write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", *schema.names])
-        writer.writerows(zip(*columns))
+        fh.write(header + "\r\n")
+        for start in range(0, len(rows), 4096):
+            fh.write("\r\n".join(rows[start : start + 4096]))
+            fh.write("\r\n")
 
     replace_atomically(path, write, text=True, newline="")
+
+
+def _csv_lines(dataset: SpatialDataset, rows: np.ndarray) -> list:
+    """The CSV lines of the given rows, without their line ends.
+
+    The bytes ``csv.writer``'s default dialect writes, built a column
+    at a time: coordinates and numeric columns are float64, which it
+    formats by ``repr()``; each categorical domain value is formatted,
+    and quoted where the dialect quotes, once.
+    """
+    columns = [
+        map(repr, dataset.xs[rows].tolist()),
+        map(repr, dataset.ys[rows].tolist()),
+    ]
+    for attr in dataset.schema:
+        values = dataset.column(attr.name)[rows].tolist()
+        if isinstance(attr, CategoricalAttribute):
+            texts = [_csv_field(value) for value in attr.domain]
+            columns.append(map(texts.__getitem__, values))
+        else:
+            columns.append(map(repr, values))
+    return list(map(",".join, zip(*columns)))
+
+
+def _csv_field(value) -> str:
+    """``value`` as one field of a ``csv.writer`` row (default dialect)."""
+    out = io.StringIO()
+    csv.writer(out).writerow([value, ""])
+    return out.getvalue()[: -len(",\r\n")]
 
 
 def load_csv_infer(

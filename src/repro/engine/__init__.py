@@ -3,22 +3,21 @@
 :class:`QuerySession` binds a dataset once, memoizes every
 query-independent artefact (grid index, channel tables, compilers, ASP
 reductions, bound contexts), and serves single queries (:meth:`solve`)
-or batches (:meth:`solve_batch`, optionally on a thread pool) with
-answers bitwise-identical to the cold
-:func:`~repro.dssearch.ds_search` / :func:`~repro.index.gi_ds_search`
-paths.  Sessions are thread-safe; :class:`SessionPool` manages one per
-dataset under an LRU memory budget, and
-:func:`save_session` / :func:`load_session` persist a session's warm
-index state to disk so a restarted server skips the cold build.
-Mutations (`apply`/`append`/`delete`) patch the warm state in place
-and, with a :class:`WriteAheadLog` attached, are durably logged before
-applying; :func:`replay` fast-forwards a restored bundle to the log
-head after a crash (DESIGN.md §9-§10).
+or batches (:meth:`solve_batch`) with answers bitwise-identical to the
+cold :func:`~repro.dssearch.ds_search` /
+:func:`~repro.index.gi_ds_search` paths.  Sessions are thread-safe;
+:class:`SessionPool` manages one per dataset under an LRU memory
+budget.  Mutations (`apply`/`append`/`delete`) patch the warm state in
+place and, with a :class:`WriteAheadLog` attached, are durably logged
+before applying.  :func:`save_session` records a checkpoint's epoch
+next to its CSV; after a crash :func:`load_session` opens a cold
+session at that epoch and :func:`replay` fast-forwards it to the log
+head (DESIGN.md §8.3, §9-§10).
 """
 
 from .persist import load_session, save_session
 from .pool import SessionPool
-from .session import QuerySession, aggregator_recipe, aggregator_signature
+from .session import QuerySession
 from .updates import UpdateBatch, UpdateStats
 from .wal import (
     CompactStats,
@@ -39,8 +38,6 @@ __all__ = [
     "WalRollbackError",
     "WalWriteError",
     "WriteAheadLog",
-    "aggregator_recipe",
-    "aggregator_signature",
     "load_session",
     "replay",
     "save_session",

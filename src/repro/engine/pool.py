@@ -77,22 +77,17 @@ class SessionPool:
         *,
         granularity: Tuple[int, int] | str | None = None,
         settings: SearchSettings | None = None,
-        index_path=None,
         wal=None,
-        replay_wal: bool = False,
     ) -> QuerySession:
         """The session registered under ``key``, creating it on first use.
 
         ``dataset`` is required the first time a key is seen (otherwise
-        ``KeyError``); later calls may omit it.  ``index_path`` warms a
-        newly created session from a
-        :func:`~repro.engine.persist.save_session` bundle instead of
-        starting cold.  ``wal`` (a path or
+        ``KeyError``); later calls may omit it.  ``wal`` (a path or
         :class:`~repro.engine.wal.WriteAheadLog`) is attached to a
         newly created session so every mutation through the pool is
-        durably logged; with ``replay_wal=True`` the log is replayed
-        onto the fresh session first (crash recovery: stale bundle +
-        log -> live state).  Every access marks the session most
+        durably logged (crash recovery goes through
+        :meth:`repro.service.RegionService.open`, which replays it).
+        Every access marks the session most
         recently used.  The byte budget is re-measured by
         :meth:`reaccount` and the mutation calls, not by this accessor
         -- call :meth:`reaccount` after solving on the returned session
@@ -106,30 +101,17 @@ class SessionPool:
                 return session
         if dataset is None:
             raise KeyError(f"unknown session key {key!r} and no dataset to bind")
-        # Create (or restore from disk) outside the lock: load_session
-        # fingerprints the whole dataset and inflates the bundle, and
-        # other datasets' traffic must not stall behind that.  On a
-        # creation race the first insert wins and the loser is dropped.
-        if index_path is not None:
-            from .persist import load_session
-
-            created = load_session(
-                index_path, dataset, settings=settings or self._settings
-            )
-        else:
-            created = QuerySession(
-                dataset,
-                granularity=(
-                    granularity if granularity is not None else self._granularity
-                ),
-                settings=settings or self._settings,
-            )
+        # Create outside the lock; on a creation race the first insert
+        # wins and the loser is dropped.
+        created = QuerySession(
+            dataset,
+            granularity=(
+                granularity if granularity is not None else self._granularity
+            ),
+            settings=settings or self._settings,
+        )
         if wal is not None:
-            attached = created.attach_wal(wal)
-            if replay_wal:
-                from .wal import replay
-
-                replay(created, attached)
+            created.attach_wal(wal)
         with self._lock:
             session = self._sessions.setdefault(key, created)
             if session is not created:
@@ -173,7 +155,7 @@ class SessionPool:
         """Register an externally built session under ``key``.
 
         For callers whose construction choreography the pool cannot
-        express -- :class:`repro.service.RegionService` restores a
+        express -- :class:`repro.service.RegionService` opens a
         bundle, attaches (or deliberately does not attach) a write-ahead
         log and replays it with custom repair semantics before the
         session ever serves traffic.  If ``key`` is already resident, a
@@ -242,30 +224,6 @@ class SessionPool:
         from .updates import UpdateBatch
 
         return self.apply(key, UpdateBatch(delete=mask_or_indices), dataset)
-
-    def save(self, key: Hashable, path, *, checkpoint_wal: bool = True) -> str:
-        """Persist the keyed session's bundle (checkpointing its WAL).
-
-        Wraps :func:`~repro.engine.persist.save_session`: the bundle is
-        written atomically (tmp + rename) and, when the session has a
-        write-ahead log attached, the log is checkpoint-truncated --
-        records the new bundle covers are dropped, so the bundle + WAL
-        pair a restarted server replays from stays minimal.  Pass
-        ``checkpoint_wal=False`` when the session's *dataset* is not
-        durably persisted alongside the bundle (the pool has no dataset
-        store of its own): a bundle fingerprints a dataset recovery must
-        re-supply, and truncating the log before that dataset is on disk
-        destroys the only recoverable copy of the updates.  Returns the
-        path written.
-        """
-        with self._lock:
-            session = self._sessions.get(key)
-            if session is None:
-                raise KeyError(f"unknown session key {key!r}")
-            self._sessions.move_to_end(key)
-        from .persist import save_session
-
-        return save_session(session, path, checkpoint_wal=checkpoint_wal)
 
     # ------------------------------------------------------------------
     def _enforce_budget(self, touched: Hashable | None = None) -> None:  # guarded-by: _lock
@@ -372,9 +330,9 @@ class SessionPool:
                 # Per-dataset durability state so operators (and the
                 # service /stats endpoint) can see replication lag:
                 # which sessions log where, how many records a restart
-                # would replay, and what bundle vintage they restored
-                # from.  WriteAheadLog.state() is O(1) after its first
-                # scan, so this stays repr-cheap.
+                # would replay, and what bundle layout they opened.
+                # WriteAheadLog.state() is O(1) after its first scan,
+                # so this stays repr-cheap.
                 wal = session.wal
                 durability[key] = {
                     "epoch": session.epoch,

@@ -53,17 +53,11 @@ import numpy as np
 from ..analysis.sanitizer import make_lock, sanitize_class
 from ..asp.rectset import RectSet
 from ..asp.reduction import reduce_to_asp
-from ..core.aggregators import (
-    AverageAggregator,
-    CompositeAggregator,
-    DistributionAggregator,
-    SumAggregator,
-)
+from ..core.aggregators import CompositeAggregator
 from ..core.channels import BoundContext, ChannelCompiler
 from ..core.geometry import Rect
 from ..core.objects import SpatialDataset
 from ..core.query import ASRSQuery, RegionResult
-from ..core.selection import SelectAll, SelectByValue
 from ..dssearch import canonical
 from ..dssearch.drop import gps_accuracy
 from ..dssearch.grid import BufferPool
@@ -80,98 +74,6 @@ from .gate import SharedExclusiveGate
 if TYPE_CHECKING:  # circular at runtime: updates.py/wal.py import sessions
     from .updates import UpdateStats
     from .wal import WriteAheadLog
-
-_TERM_TAGS = {
-    DistributionAggregator: "fD",
-    AverageAggregator: "fA",
-    SumAggregator: "fS",
-}
-
-
-def aggregator_signature(aggregator: CompositeAggregator) -> str | None:
-    """A process-independent structural key for an aggregator, or ``None``.
-
-    Session caches key aggregators by object identity, which cannot
-    survive a save/load cycle; persisted per-aggregator artefacts
-    (channel tables, lattice intervals) are keyed by this signature
-    instead.  Only exact built-in terms with value-describable
-    selections are signaturable -- subclasses and predicate selections
-    return ``None`` and are simply not persisted (their artefacts are
-    recomputed on first use, answers unaffected).
-
-    The signature is the ``repr`` of a structured tuple, not a
-    delimiter-joined string: attribute names are user-controlled, so
-    flat joins could let two different term lists collide and adopt
-    each other's persisted artefacts.
-    """
-    parts = []
-    for term in aggregator.terms:
-        tag = _TERM_TAGS.get(type(term))
-        if tag is None:
-            return None
-        sel = term.selection
-        if type(sel) is SelectAll:
-            sel_key: tuple = ("all",)
-        elif type(sel) is SelectByValue:
-            sel_key = ("value", sel.attribute, repr(sel.value))
-        else:
-            return None
-        parts.append((tag, term.attribute, sel_key))
-    return repr(tuple(parts))
-
-
-def aggregator_recipe(aggregator: CompositeAggregator) -> list | None:
-    """A JSON-serializable rebuild recipe for an aggregator, or ``None``.
-
-    Signatures identify persisted artefacts but are opaque; the recipe
-    is their *invertible* sibling: bundles store it next to each
-    channel table so an incremental update (or a WAL replay) can
-    reconstruct a structurally identical aggregator and patch the
-    pending table's cell sums before any live aggregator object has
-    adopted it (engine/updates.py).  ``None`` when a term is not
-    recipe-able (custom subclass, predicate selection, or a selection
-    value JSON cannot carry); such artefacts fall back to a lazy cold
-    recompute after an update, answers unaffected.
-    """
-    parts: list = []
-    for term in aggregator.terms:
-        tag = _TERM_TAGS.get(type(term))
-        if tag is None:
-            return None
-        sel = term.selection
-        if type(sel) is SelectAll:
-            sel_spec: list = ["all"]
-        elif type(sel) is SelectByValue:
-            value = sel.value
-            if isinstance(value, np.generic):
-                value = value.item()
-            if not isinstance(value, (str, int, float, bool)):
-                return None
-            sel_spec = ["value", sel.attribute, value]
-        else:
-            return None
-        parts.append([tag, term.attribute, sel_spec])
-    return parts
-
-
-_TAG_TERMS = {tag: cls for cls, tag in _TERM_TAGS.items()}
-
-
-def aggregator_from_recipe(recipe: list) -> CompositeAggregator:
-    """Invert :func:`aggregator_recipe` into a fresh aggregator object."""
-    terms = []
-    for tag, attribute, sel_spec in recipe:
-        if sel_spec[0] == "all":
-            selection: SelectAll | SelectByValue = SelectAll()
-        elif sel_spec[0] == "value":
-            selection = SelectByValue(sel_spec[1], sel_spec[2])
-        else:
-            raise ValueError(f"unknown selection spec {sel_spec!r} in recipe")
-        cls = _TAG_TERMS.get(tag)
-        if cls is None:
-            raise ValueError(f"unknown term tag {tag!r} in recipe")
-        terms.append(cls(attribute, selection))
-    return CompositeAggregator(terms)
 
 
 def _validated_granularity(
@@ -238,17 +140,17 @@ class QuerySession:
         self.granularity = _validated_granularity(granularity, dataset.n)
         self.settings = settings or SearchSettings()
         #: Mutation counter: bumped by every effective append/delete/
-        #: apply.  Bundles record it (engine/persist.py) so a stale
-        #: on-disk index is diagnosable, not just refused by fingerprint.
+        #: apply.  Bundles record it (engine/persist.py): it tells
+        #: replay which log records the checkpointed CSV already holds.
         self.epoch = 0
         #: Optional :class:`~repro.engine.wal.WriteAheadLog`: when
         #: attached, every effective mutation is durably logged before
         #: state changes (see :meth:`attach_wal`).
         self.wal = None
-        #: Bundle format version this session was restored from
-        #: (``load_session`` sets it; ``None`` for a cold session).
-        #: Purely diagnostic -- ``cache_info()``/``SessionPool.info()``
-        #: surface it so operators can tell restored sessions apart.
+        #: Format version of the bundle this session was opened from
+        #: (``load_session`` sets it; ``None`` otherwise).  Purely
+        #: diagnostic -- ``cache_info()``/``SessionPool.info()`` surface
+        #: it so operators can see which layout a restart read.
         self.bundle_version: int | None = None
         self._pool = BufferPool()
         self._index: GridIndex | None = None
@@ -263,8 +165,7 @@ class QuerySession:
         self._tables: Dict[int, np.ndarray] = {}
         # Pre-suffix per-cell channel sums, kept next to each suffix
         # table so incremental updates can re-sum only dirty cells
-        # (engine/updates.py).  A table adopted from disk without cells
-        # falls back to a lazy recompute on the first update.
+        # (engine/updates.py).
         self._table_cells: Dict[int, np.ndarray] = {}
         self._contexts: Dict[int, BoundContext] = {}
         self._empty_reps: Dict[int, np.ndarray] = {}
@@ -281,18 +182,8 @@ class QuerySession:
         # The space memo (DESIGN.md §7.1): per (width, height,
         # compiler), a dict from (root, x_min, y_min, x_max, y_max) to
         # the space's (active, accumulation), filled by every engine
-        # this session assembles.  Not persisted.
+        # this session assembles.
         self._spaces: Dict[Tuple[float, float, int], dict] = {}
-        # Disk-restored artefacts keyed by aggregator *signature* (ids
-        # do not survive a process restart); adopted into the id-keyed
-        # caches on first use.  See engine/persist.py.  Each table comes
-        # with its pre-suffix cell sums and a rebuild recipe, so a
-        # restored session stays patchable before adoption; updates
-        # drop pending lattices like live ones.
-        self._pending_tables: Dict[str, np.ndarray] = {}
-        self._pending_table_cells: Dict[str, np.ndarray] = {}
-        self._pending_recipes: Dict[str, list] = {}
-        self._pending_lattices: Dict[Tuple[float, float, str], tuple] = {}
         # Concurrency (DESIGN.md §8.1): the index gets a dedicated lock
         # (its build is the one expensive single-shot artefact); every
         # other cache goes through the in-flight-deduplicated _memo.
@@ -388,22 +279,6 @@ class QuerySession:
         """The memoized index suffix table of a compiler's channels."""
 
         def compute():
-            if self._pending_tables:
-                sig = aggregator_signature(compiler.aggregator)
-                pending = (
-                    self._pending_tables.get(sig) if sig is not None else None
-                )
-                if pending is not None:
-                    # Adopted from disk, with the pre-suffix cell sums
-                    # when the bundle has them: install them next to the
-                    # table so later updates patch this entry like a
-                    # live one (without them it recomputes cold on the
-                    # first update).
-                    cells = self._pending_table_cells.get(sig)
-                    if cells is not None:
-                        with self._memo_lock:
-                            self._table_cells[id(compiler)] = cells
-                    return pending
             cells, table = self.index.channel_cells_and_table(compiler)
             with self._memo_lock:
                 self._table_cells[id(compiler)] = cells
@@ -437,14 +312,6 @@ class QuerySession:
         key = (float(width), float(height), id(compiler))
 
         def compute():
-            if self._pending_lattices:
-                sig = aggregator_signature(compiler.aggregator)
-                if sig is not None:
-                    pending = self._pending_lattices.get(
-                        (float(width), float(height), sig)
-                    )
-                    if pending is not None:
-                        return pending  # adopted from disk
             geometry = self._memo(
                 self._lattice_geometry,
                 (float(width), float(height)),
@@ -483,8 +350,7 @@ class QuerySession:
 
         After warming, the first ``solve`` of a query with this
         aggregator object and region size pays only the target-dependent
-        search.  This is also what ``repro index-build`` persists via
-        :func:`~repro.engine.persist.save_session`.
+        search.
         """
         with self._update_gate.shared():
             compiler = self.compiler_for(aggregator)
@@ -622,7 +488,6 @@ class QuerySession:
         delta: float = 0.0,
         probe_cells: int = 16,
         return_stats: bool = False,
-        workers: int | None = None,
     ) -> list:
         """Solve a batch of queries, sharing every cached artefact.
 
@@ -630,31 +495,19 @@ class QuerySession:
         session caches; the first query of each distinct shape warms
         them.  Returns one entry per query, in order -- plain
         :class:`RegionResult` s, or ``(result, stats)`` pairs with
-        ``return_stats=True``.
-
-        ``workers`` > 1 solves the batch on a thread pool against the
-        now-thread-safe caches; answers are bitwise-identical to the
-        serial path in any case (numpy releases the GIL on the heavy
-        kernels, so multi-core runners overlap real work).  ``None`` or
-        values <= 1 keep the serial path.
+        ``return_stats=True``.  Callers wanting concurrency call
+        :meth:`solve` from their own threads (DESIGN.md §8.1).
         """
-
-        def one(q: ASRSQuery):
-            return self.solve(
+        return [
+            self.solve(
                 q,
                 method=method,
                 delta=delta,
                 probe_cells=probe_cells,
                 return_stats=return_stats,
             )
-
-        queries = list(queries)
-        if workers is None or workers <= 1 or len(queries) <= 1:
-            return [one(q) for q in queries]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(queries))) as ex:
-            return list(ex.map(one, queries))
+            for q in queries
+        ]
 
     # ------------------------------------------------------------------
     # Canonical solving (dssearch/canonical.py, DESIGN.md §15)
@@ -776,10 +629,10 @@ class QuerySession:
         path (one is created).  Once attached, every effective
         ``apply``/``append``/``delete`` durably logs its batch before
         any session state changes, and :func:`~repro.engine.persist.
-        save_session` checkpoints the log (drops records the new bundle
-        covers).  Returns the attached log.  Replay never re-logs, so
-        ``attach_wal`` + :func:`~repro.engine.wal.replay` is the
-        natural crash-recovery sequence.
+        save_session` checkpoints the log (drops the records the
+        bundle's epoch covers).  Returns the attached log.  Replay
+        never re-logs, so ``attach_wal`` + :func:`~repro.engine.wal.
+        replay` is the natural crash-recovery sequence.
         """
         from .wal import WriteAheadLog
 
@@ -816,10 +669,6 @@ class QuerySession:
             self._lattices.clear()
             self._lattice_geometry.clear()
             self._spaces.clear()
-            self._pending_tables.clear()
-            self._pending_table_cells.clear()
-            self._pending_recipes.clear()
-            self._pending_lattices.clear()
 
     def cache_info(self) -> dict:
         """Occupancy of the session caches (for tests and diagnostics).
@@ -856,9 +705,8 @@ class QuerySession:
         ignores interpreter overhead.
         """
         total = 0
-        # Adopted pending artefacts alias their id-keyed entries (the
-        # session keeps the signature-keyed reference for later equal-
-        # signature aggregators), so each distinct array counts once.
+        # A lattice's corner arrays are its geometry's, so each
+        # distinct array counts once.
         seen: set = set()
 
         def arr_bytes(arr) -> int:
@@ -882,17 +730,11 @@ class QuerySession:
             total += rects.nbytes
         for lattice in list(self._lattices.values()):
             total += sum(arr_bytes(arr) for arr in lattice)
-        for cells in list(self._pending_table_cells.values()):
-            total += arr_bytes(cells)
         for geometry in list(self._lattice_geometry.values()):
             x0, y0, over_ranges, full_ranges = geometry
             total += arr_bytes(x0) + arr_bytes(y0)
             total += sum(arr_bytes(arr) for arr in over_ranges)
             total += sum(arr_bytes(arr) for arr in full_ranges)
-        for table in list(self._pending_tables.values()):
-            total += arr_bytes(table)
-        for lattice in list(self._pending_lattices.values()):
-            total += sum(arr_bytes(arr) for arr in lattice)
         for memo in list(self._spaces.values()):
             for active, acc in list(memo.values()):
                 total += active.nbytes

@@ -19,12 +19,9 @@ actually touched:
 * channel suffix tables are re-summed only at dirty cells from the
   retained pre-suffix cell sums;
 * ASP reductions are row-patched and their GPS accuracies recomputed;
-* candidate-lattice intervals, live and restored, are dropped: the next
-  solve re-derives them from the patched channel table and the kept
-  lattice geometry (DESIGN.md §10.4);
-* signature-keyed pending channel tables restored from a bundle are
-  patched through recipe-reconstructed compilers, so a replayed restore
-  never pays a cold channel-table rebuild;
+* candidate-lattice intervals are re-derived from the patched channel
+  table and the kept lattice geometry, beside solves, so the next solve
+  of each shape finds its lattice warm (DESIGN.md §10.4);
 * memoized spaces survive unless a changed rectangle overlaps their
   key rectangle (deletes renumber the surviving active indices).
 
@@ -37,12 +34,15 @@ accumulated over member rows in ascending row order, and updates
 preserve each clean cell's member sequence exactly (appends land at the
 end of the dataset; deletes preserve relative order).
 
-Concurrency: the session's update gate makes :func:`apply_update`
-exclusive with ``solve``/``solve_batch``/``warm`` -- an update waits for
-in-flight solves to drain and blocks new ones, so a solve observes
-either the pre- or the post-update session, never a mix.  The PR-2
-in-flight-deduplication and pinning semantics of the caches are
-untouched (the swap happens under the memo lock, with no solves live).
+Concurrency: :func:`apply_update` derives the replacement state while
+holding the session's update gate *shared*, beside ``solve``/``warm``,
+and takes the gate *exclusively* only to log the batch and swap the
+state in: the swap waits for in-flight solves to drain and blocks new
+ones, so a solve observes either the pre- or the post-update session,
+never a mix.  An update that finds another one committed since its
+derivation derives again under the exclusive hold.  The in-flight
+deduplication and pinning semantics of the caches are untouched (the
+swap happens under the memo lock, with no solves live).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from ..asp.reduction import reduce_to_asp
 from ..core.channels import ChannelCompiler
 from ..core.objects import SpatialDataset
 from ..dssearch.drop import gps_accuracy
+from ..index.gids import candidate_lattice_intervals
 from ..index.summary import cell_sums_to_suffix_table
 from .wal import WalRollbackError, WalWriteError
 
@@ -100,12 +101,11 @@ class UpdateStats:
     dirty_cells: int = 0
     tables_patched: int = 0
     tables_dropped: int = 0
-    pending_tables_patched: int = 0
-    pending_tables_dropped: int = 0
     reductions_patched: int = 0
-    lattices_dropped: int = 0  # live and pending
-    # Always 0 (updates drop every lattice); the serve benchmark's
-    # trace bootstrap still reads both on every apply_update.
+    lattices_refreshed: int = 0
+    lattices_dropped: int = 0
+    # Always 0 (no update patches a lattice in place); the serve
+    # benchmark's trace bootstrap still reads both on every apply_update.
     lattices_patched: int = 0
     lattice_positions_refreshed: int = 0
     # Space-memo entries kept and dropped (DESIGN.md §9.2), under the
@@ -118,51 +118,63 @@ class UpdateStats:
 def apply_update(session, batch: UpdateBatch, *, log: bool = True) -> UpdateStats:
     """Mutate a session's dataset in place, patching its warm state.
 
-    Exclusive with solves via the session's update gate; see the module
-    docstring for the contract.  When the session has a write-ahead log
-    attached and ``log`` is true (the default), the batch is durably
-    logged *before* any state mutates -- :func:`~repro.engine.wal.replay`
+    See the module docstring for the contract.  The replacement state is
+    derived beside solves, holding the session's update gate shared;
+    only the write-ahead append and the swap hold it exclusively, so a
+    solve sees the pre- or the post-update session, never a mix
+    (DESIGN.md §9.3).  When the session has a write-ahead log attached
+    and ``log`` is true (the default), the batch is durably logged
+    *before* any state changes -- :func:`~repro.engine.wal.replay`
     passes ``log=False`` so re-applied records are not re-logged.
     Returns an :class:`UpdateStats`.
     """
+    with session._update_gate.shared():
+        update = _derive(session, batch)
+    if update.state is None:
+        return update.stats  # no-op: nothing invalidated, epoch unchanged
     with session._update_gate.exclusive():
-        return _apply_exclusive(session, batch, log=log)
+        if session.dataset is not update.base or session.epoch != update.epoch:
+            # Another update committed since this one was derived: derive
+            # again from the state it left, now with solves held off.
+            update = _derive(session, batch)
+            if update.state is None:
+                return update.stats
+        return _commit(session, update, log=log)
 
 
-def _apply_exclusive(session, batch: UpdateBatch, *, log: bool) -> UpdateStats:
-    old_ds: SpatialDataset = session.dataset
-    append_ds = batch.append_dataset(old_ds.schema)
-    if append_ds is not None and append_ds.schema != old_ds.schema:
-        raise ValueError("appended rows must share the session dataset's schema")
+@dataclass
+class _Update:
+    """One derived update, ready to commit: what it was derived from,
+    the batch to log, its stats and the replacement session state
+    (``None`` for a no-op)."""
 
-    if batch.delete is not None:
-        keep_mask = old_ds.delete_mask(batch.delete)
-        kept = np.flatnonzero(keep_mask)
-    else:
-        kept = np.arange(old_ds.n, dtype=np.int64)
-    n_deleted = old_ds.n - kept.size
-    n_appended = append_ds.n if append_ds is not None else 0
-    stats = UpdateStats(appended=n_appended, deleted=n_deleted, epoch=session.epoch)
-    if n_deleted == 0 and n_appended == 0:
-        return stats  # no-op: nothing invalidated, epoch unchanged
+    base: SpatialDataset
+    epoch: int
+    logged: UpdateBatch
+    stats: UpdateStats
+    state: dict | None
 
+
+def _commit(session, update: _Update, *, log: bool) -> UpdateStats:
+    """Log and swap in a derived update; the caller holds the gate exclusively."""
+    stats = update.stats
     # Write-ahead: the effective batch is durably logged before any
     # session state changes.  A crash after this line replays the batch
     # from the log; a crash before it loses only an unacknowledged
-    # request.  (The update gate serializes appends, so log order is
-    # mutation order; no-ops above are never logged.)  If the apply
-    # itself then *fails* -- nothing committed -- the record is rolled
-    # back: an orphan at this epoch would be replayed in place of the
-    # batch a retry successfully logs at the same epoch.
+    # request.  (The exclusive gate serializes appends, so log order is
+    # mutation order; no-ops are never logged.)  If the swap then
+    # *fails* -- nothing committed -- the record is rolled back: an
+    # orphan at this epoch would be replayed in place of the batch a
+    # retry successfully logs at the same epoch.
     wal = session.wal if log else None
     wal_token = None
     if wal is not None:
         try:
             wal_token = wal.append(
-                UpdateBatch(append=append_ds, delete=batch.delete),
+                update.logged,
                 epoch=session.epoch,
-                pre_n=old_ds.n,
-                schema=old_ds.schema,
+                pre_n=update.base.n,
+                schema=update.base.schema,
             )
         except ValueError:
             raise  # epoch-lineage validation, not an I/O failure
@@ -177,7 +189,8 @@ def _apply_exclusive(session, batch: UpdateBatch, *, log: bool) -> UpdateStats:
         stats.wal_logged = True
     try:
         faults.failpoint(FP_POST_LOG)
-        return _derive_and_swap(session, append_ds, kept, stats)
+        _swap(session, update.state, stats)
+        return stats
     except BaseException as primary:
         if wal is not None:
             try:
@@ -196,28 +209,40 @@ def _apply_exclusive(session, batch: UpdateBatch, *, log: bool) -> UpdateStats:
         raise
 
 
-def _derive_and_swap(
-    session,
-    append_ds: SpatialDataset | None,
-    kept: np.ndarray,
-    stats: UpdateStats,
-) -> UpdateStats:
+def _derive(session, batch: UpdateBatch) -> _Update:
+    """Derive the post-update session state from a snapshot of this one.
+
+    The caller holds the update gate, shared or exclusive, so the
+    dataset cannot change underneath.  Solves running beside it (and a
+    ``clear_caches`` from a pool evicting under memory pressure) may
+    still add or drop cache entries, so the cache dicts are
+    shallow-snapshotted under the memo lock and the derivation works
+    off the snapshot.  Entries added after it belong to the old dataset
+    and go with the swap; racing an eviction is merely a missed
+    reclamation: the swap re-installs patched artefacts, all
+    deterministic for the new dataset, and the pool re-measures on its
+    next touch.
+    """
     old_ds: SpatialDataset = session.dataset
-    n_deleted = stats.deleted
-    n_appended = stats.appended
+    epoch = session.epoch
+    append_ds = batch.append_dataset(old_ds.schema)
+    if append_ds is not None and append_ds.schema != old_ds.schema:
+        raise ValueError("appended rows must share the session dataset's schema")
+
+    if batch.delete is not None:
+        keep_mask = old_ds.delete_mask(batch.delete)
+        kept = np.flatnonzero(keep_mask)
+    else:
+        kept = np.arange(old_ds.n, dtype=np.int64)
+    n_deleted = old_ds.n - kept.size
+    n_appended = append_ds.n if append_ds is not None else 0
+    stats = UpdateStats(appended=n_appended, deleted=n_deleted, epoch=epoch)
+    logged = UpdateBatch(append=append_ds, delete=batch.delete)
+    if n_deleted == 0 and n_appended == 0:
+        return _Update(old_ds, epoch, logged, stats, None)
     survivors = old_ds if n_deleted == 0 else old_ds.subset(kept)
     new_ds = survivors if n_appended == 0 else survivors.append(append_ds)
 
-    # ------------------------------------------------------------------
-    # Derive every replacement artefact *before* the swap.  The update
-    # gate excludes solves/warms, but not clear_caches (a SessionPool
-    # evicting under memory pressure calls it from another key's
-    # traffic), so the cache dicts are shallow-snapshotted under the
-    # memo lock and the derivation works off the snapshot.  Racing an
-    # eviction is then merely a missed reclamation: the swap below
-    # re-installs patched artefacts, all deterministic for the new
-    # dataset, and the pool re-measures on its next touch.
-    # ------------------------------------------------------------------
     with session._memo_lock:
         old_compilers = dict(session._compilers)
         old_pins = dict(session._pins)
@@ -227,14 +252,8 @@ def _derive_and_swap(
         old_empty_reps = dict(session._empty_reps)
         old_reductions = dict(session._reductions)
         old_spaces = dict(session._spaces)
-        old_pending_tables = dict(session._pending_tables)
-        old_pending_cells = dict(session._pending_table_cells)
-        old_pending_recipes = dict(session._pending_recipes)
-        # Every cached lattice, live or pending, is dropped below and
-        # re-derived lazily from the patched table by the next solve.
-        stats.lattices_dropped = len(session._lattices) + len(
-            session._pending_lattices
-        )
+        old_lattices = list(session._lattices)
+        old_geometry = dict(session._lattice_geometry)
     old_index = session._index
     new_index = None
     dirty_flat = members = local = None
@@ -291,6 +310,35 @@ def _derive_and_swap(
         if agg_id in old_pins
     }
 
+    # Candidate lattices: re-derived from the patched table, the new
+    # context and the kept geometry -- the call a solve's lattice_for
+    # makes, so bitwise its result -- here, beside solves, instead of in
+    # the next solve of each shape.  A cold index rebuild may move the
+    # geometry, so those lattices are dropped and re-derived lazily.
+    new_lattices: dict = {}
+    for width, height, old_cid in old_lattices:
+        new_comp = remap.get(old_cid)
+        cid = None if new_comp is None else id(new_comp)
+        geometry = old_geometry.get((width, height))
+        if (
+            new_index is None
+            or geometry is None
+            or cid not in new_tables
+            or cid not in new_contexts
+        ):
+            stats.lattices_dropped += 1
+            continue
+        new_lattices[(width, height, cid)] = candidate_lattice_intervals(
+            new_index,
+            new_comp,
+            width,
+            height,
+            tables=new_tables[cid],
+            ctx=new_contexts[cid],
+            geometry=geometry,
+        )
+        stats.lattices_refreshed += 1
+
     # ASP reductions: row-patch the rectangles (elementwise per object,
     # so gather+concat is bitwise the cold reduction) and recompute the
     # GPS accuracies over the full new set, exactly as cold would.
@@ -341,59 +389,6 @@ def _derive_and_swap(
             )
         changed_rects[(width, height, anchor)] = np.concatenate(changed, axis=1)
 
-    # Disk-restored channel tables not yet adopted by a live aggregator
-    # object (signature-keyed "pendings", DESIGN.md §10.3): patch them
-    # too, or a replay onto a freshly loaded bundle would drop every
-    # persisted channel table and pay the cold rebuild the persisted
-    # cell sums exist to avoid.  A pending whose signature matches a
-    # live compiler simply aliases that compiler's patched artefacts;
-    # the rest are patched through a compiler reconstructed from the
-    # persisted recipe, compiled over *only* the dirty-cell member rows
-    # (channel weights are per-row functions of the columns, so the
-    # member-subset compile is bitwise the full compile's member rows).
-    from .session import aggregator_from_recipe, aggregator_signature
-
-    new_pending_tables: dict = {}
-    new_pending_cells: dict = {}
-    new_pending_recipes: dict = {}
-    if old_pending_tables:
-        live_by_sig: dict = {}
-        for new_comp in new_compilers.values():
-            sig = aggregator_signature(new_comp.aggregator)
-            if sig is not None:
-                live_by_sig.setdefault(sig, new_comp)
-        members_ds = None
-        for sig, _ in old_pending_tables.items():
-            live = live_by_sig.get(sig)
-            if live is not None and id(live) in new_tables:
-                new_pending_tables[sig] = new_tables[id(live)]
-                new_pending_cells[sig] = new_table_cells[id(live)]
-                if sig in old_pending_recipes:
-                    new_pending_recipes[sig] = old_pending_recipes[sig]
-                continue
-            cells = old_pending_cells.get(sig)
-            recipe = old_pending_recipes.get(sig)
-            if new_index is None or cells is None or recipe is None:
-                stats.pending_tables_dropped += 1
-                continue
-            try:
-                aggregator = aggregator_from_recipe(recipe)
-                if members_ds is None:
-                    members_ds = new_ds.subset(members)
-                member_weights = ChannelCompiler(members_ds, aggregator).weights
-            except (KeyError, ValueError, TypeError):
-                # The recipe no longer matches the schema (attribute or
-                # domain value gone): fall back to a lazy cold recompute.
-                stats.pending_tables_dropped += 1
-                continue
-            patched_cells = new_index.patch_cell_sums(
-                cells, dirty_flat, local, member_weights
-            )
-            new_pending_cells[sig] = patched_cells
-            new_pending_tables[sig] = cell_sums_to_suffix_table(patched_cells)
-            new_pending_recipes[sig] = recipe
-            stats.pending_tables_patched += 1
-
     # Memoized spaces: keep entries whose key rectangle no changed
     # rectangle overlaps (their active set and accumulation are bitwise
     # the cold ones); renumber active indices after deletes.  Moved
@@ -419,38 +414,40 @@ def _derive_and_swap(
     else:
         stats.cell_entries_dropped = sum(len(memo) for memo in old_spaces.values())
 
-    # ------------------------------------------------------------------
-    # Swap, atomically w.r.t. everything that takes the memo lock
-    # (save_session snapshots, clear_caches).
-    # ------------------------------------------------------------------
+    pins = {
+        agg_id: old_pins[agg_id]
+        for agg_id in set(new_compilers) | set(new_empty_reps)
+    }
+    for new_comp in new_compilers.values():
+        pins[id(new_comp)] = new_comp
+    state = {
+        "dataset": new_ds,
+        "_index": new_index,
+        "_compilers": new_compilers,
+        "_tables": new_tables,
+        "_table_cells": new_table_cells,
+        "_contexts": new_contexts,
+        "_empty_reps": new_empty_reps,
+        "_reductions": new_reductions,
+        "_lattices": new_lattices,
+        "_spaces": new_spaces,
+        "_pins": pins,
+    }
+    if new_index is None:
+        # The index geometry may shift on a cold rebuild; the cached
+        # lattice geometry is only valid while it is preserved.
+        state["_lattice_geometry"] = {}
+    return _Update(old_ds, epoch, logged, stats, state)
+
+
+def _swap(session, state: dict, stats: UpdateStats) -> None:
+    """Install a derived state, atomically w.r.t. everything that takes
+    the memo lock (``save_session``'s read, ``clear_caches``)."""
     with session._memo_lock:
-        session.dataset = new_ds
-        session._index = new_index
-        session._compilers = new_compilers
-        session._tables = new_tables
-        session._table_cells = new_table_cells
-        session._contexts = new_contexts
-        session._empty_reps = new_empty_reps
-        session._reductions = new_reductions
-        session._lattices = {}
-        if new_index is None:
-            # The index geometry may shift on a cold rebuild; the cached
-            # lattice geometry is only valid while it is preserved.
-            session._lattice_geometry = {}
-        session._spaces = new_spaces
-        session._pending_tables = new_pending_tables
-        session._pending_table_cells = new_pending_cells
-        session._pending_recipes = new_pending_recipes
-        session._pending_lattices = {}
-        session._pins = {
-            agg_id: old_pins[agg_id]
-            for agg_id in set(new_compilers) | set(new_empty_reps)
-        }
-        for new_comp in new_compilers.values():
-            session._pins[id(new_comp)] = new_comp
+        for name, value in state.items():
+            setattr(session, name, value)
         session.epoch += 1
         stats.epoch = session.epoch
-    return stats
 
 
 def _surviving_entries(

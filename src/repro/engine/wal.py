@@ -124,7 +124,6 @@ class ReplayStats:
     appended: int = 0
     deleted: int = 0
     final_epoch: int = 0
-    pending_tables_patched: int = 0
 
 
 @dataclass
@@ -880,8 +879,7 @@ def replay(
             f"write-ahead log {path!s} was checkpointed at epoch "
             f"{checkpoint_epoch} but the session is at epoch "
             f"{session.epoch}: records this bundle needs were truncated.  "
-            "Restore from the bundle (and dataset) saved at that "
-            "checkpoint, or rebuild with `repro index-build`"
+            "Restore from the bundle and dataset saved at that checkpoint"
         )
     if torn:
         stats.truncated_bytes = os.path.getsize(path) - good_end
@@ -905,9 +903,8 @@ def replay(
                 f"spanning epochs {epoch}-{epoch + span - 1} but the "
                 f"session is at epoch {session.epoch}, *inside* the "
                 "span: the merged record can neither be skipped nor "
-                "applied for this bundle.  Restore from the bundle "
-                "saved at the compaction base (or rebuild with "
-                "`repro index-build`)"
+                "applied for this bundle.  Restore from the bundle and "
+                "dataset saved at the compaction base"
             )
 
     last_skipped: "tuple[int, bytes] | None" = None
@@ -926,8 +923,7 @@ def replay(
                     f"write-ahead log {path!s} starts at epoch {epoch} but "
                     f"the session is at epoch {session.epoch}: the log was "
                     "checkpointed past this bundle.  Restore from the bundle "
-                    "saved at that checkpoint (or rebuild with "
-                    "`repro index-build`)"
+                    "and dataset saved at that checkpoint"
                 )
             if pre_n != session.dataset.n:
                 raise ValueError(
@@ -962,7 +958,6 @@ def replay(
         stats.applied = len(pending)
         stats.appended += ustats.appended
         stats.deleted += ustats.deleted
-        stats.pending_tables_patched += ustats.pending_tables_patched
         if session.epoch != base_epoch + span:
             # The merged batch stands for `span` original updates (the
             # apply bumped the epoch once, or -- for a net-no-op merge

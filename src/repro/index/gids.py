@@ -104,6 +104,11 @@ def candidate_lattice_geometry(
     )
 
 
+#: About how many lattice cells :func:`candidate_lattice_intervals` sums
+#: and bounds per block.
+LATTICE_BLOCK_CELLS = 8192
+
+
 def candidate_lattice_intervals(
     index: GridIndex,
     compiler,
@@ -131,12 +136,35 @@ def candidate_lattice_intervals(
 
     if tables is None:
         tables = index.channel_tables(compiler)
-    # (nc, nr, C) from the per-axis ranges, flattened to the cell order.
-    full = range_sums(tables, *full_ranges).reshape(x0.size, -1)
-    over = range_sums(tables, *over_ranges).reshape(x0.size, -1)
     if ctx is None:
         ctx = compiler.make_context()
-    lo, hi = compiler.bounds_from_sums(full, over, ctx)
+    # A block of leading range entries at a time -- lattice columns for
+    # the per-axis geometry, whose row ranges broadcast -- flattened to
+    # the cell order (cell c * nr + r).  Sums and bounds are elementwise,
+    # so the blocks give the whole-lattice result bit for bit while the
+    # (cells, C) temporaries stay a block's size: an update derives
+    # lattices beside solves.
+    ndim = max(r.ndim for r in full_ranges)
+    lead = max(r.shape[0] for r in full_ranges if r.ndim == ndim)
+    step = max(1, LATTICE_BLOCK_CELLS * lead // max(x0.size, 1))
+    channels = tables.shape[-1]
+    lo = hi = None
+    done = 0
+    for first in range(0, max(lead, 1), step):
+        part = slice(first, first + step)
+        full = range_sums(
+            tables, *(r[part] if r.ndim == ndim else r for r in full_ranges)
+        ).reshape(-1, channels)
+        over = range_sums(
+            tables, *(r[part] if r.ndim == ndim else r for r in over_ranges)
+        ).reshape(-1, channels)
+        block_lo, block_hi = compiler.bounds_from_sums(full, over, ctx)
+        if lo is None:
+            lo = np.empty((x0.size, block_lo.shape[1]), dtype=block_lo.dtype)
+            hi = np.empty((x0.size, block_hi.shape[1]), dtype=block_hi.dtype)
+        lo[done : done + len(block_lo)] = block_lo
+        hi[done : done + len(block_hi)] = block_hi
+        done += len(block_lo)
     return x0, y0, lo, hi
 
 

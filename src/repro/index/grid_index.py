@@ -321,93 +321,6 @@ class GridIndex:
         return cells
 
     # ------------------------------------------------------------------
-    # Persistence (engine/persist.py, DESIGN.md §8.3)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> tuple[dict, Dict[str, np.ndarray]]:
-        """``(meta, arrays)`` capturing the whole built index.
-
-        ``meta`` is JSON-serializable; ``arrays`` maps snapshot-local
-        names to the numpy payloads.  :meth:`restore` inverts this
-        without recomputation, so a restarted server skips the
-        O(n + cells·C) build entirely.
-        """
-        meta = {
-            "sx": self.sx,
-            "sy": self.sy,
-            "space": [
-                self.space.x_min,
-                self.space.y_min,
-                self.space.x_max,
-                self.space.y_max,
-            ],
-            "cell_width": self.cell_width,
-            "cell_height": self.cell_height,
-            "categorical": list(self._categorical_tables),
-            "numeric": list(self._numeric_tables),
-        }
-        arrays: Dict[str, np.ndarray] = {
-            "xs": self.xs,
-            "ys": self.ys,
-            "obj_col": self._obj_col,
-            "obj_row": self._obj_row,
-        }
-        # Materialize any lazily-deferred suffix tables: a bundle stores
-        # them next to the cell sums, and a restore reads both.
-        for name in self._categorical_tables:
-            self.categorical_table(name)
-        for name in self._numeric_tables:
-            self.numeric_table(name)
-        for i, table in enumerate(self._categorical_tables.values()):
-            arrays[f"cat_{i}"] = table
-        for i, table in enumerate(self._numeric_tables.values()):
-            arrays[f"num_{i}"] = table
-        # Pre-suffix cell sums: what incremental updates patch.
-        for i, cells in enumerate(self._categorical_cells.values()):
-            arrays[f"cat_cells_{i}"] = cells
-        for i, cells in enumerate(self._numeric_cells.values()):
-            arrays[f"num_cells_{i}"] = cells
-        return meta, arrays
-
-    @staticmethod
-    def restore(
-        dataset: SpatialDataset, meta: dict, arrays: Dict[str, np.ndarray]
-    ) -> "GridIndex":
-        """Rebuild an index from a :meth:`snapshot`, skipping the build.
-
-        The caller (``engine/persist.py``) is responsible for checking
-        that ``dataset`` is the dataset the snapshot was taken over;
-        every restored array is bit-for-bit the saved one, so a restored
-        index answers queries identically to the index it snapshots.
-        Raises ``KeyError`` when a member array or meta field is missing.
-        """
-        index = object.__new__(GridIndex)
-        index.dataset = dataset
-        index.sx = int(meta["sx"])
-        index.sy = int(meta["sy"])
-        index.space = Rect(*(float(v) for v in meta["space"]))
-        index.cell_width = float(meta["cell_width"])
-        index.cell_height = float(meta["cell_height"])
-        index.xs = arrays["xs"]
-        index.ys = arrays["ys"]
-        index._obj_col = arrays["obj_col"]
-        index._obj_row = arrays["obj_row"]
-        index._categorical_tables = {
-            name: arrays[f"cat_{i}"] for i, name in enumerate(meta["categorical"])
-        }
-        index._numeric_tables = {
-            name: arrays[f"num_{i}"] for i, name in enumerate(meta["numeric"])
-        }
-        index._categorical_cells = {
-            name: arrays[f"cat_cells_{i}"]
-            for i, name in enumerate(meta["categorical"])
-        }
-        index._numeric_cells = {
-            name: arrays[f"num_cells_{i}"]
-            for i, name in enumerate(meta["numeric"])
-        }
-        return index
-
-    # ------------------------------------------------------------------
     def index_nbytes(self) -> int:
         """Memory footprint of the persistent summary tables (Table 1).
 

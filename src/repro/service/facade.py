@@ -8,8 +8,9 @@ plus the checkpoint/replay choreography that lived only in ``cli.py``.
 ``RegionService`` owns all of it behind one typed surface:
 
 * :meth:`open` binds a :class:`~repro.service.DatasetSpec` -- loads the
-  CSV, restores the bundle if one exists, attaches the write-ahead log
-  and replays it (crash recovery), registering the session in the pool;
+  CSV, reads the checkpoint's epoch from the bundle if one exists,
+  attaches the write-ahead log and replays it (crash recovery),
+  registering the session in the pool;
 * :meth:`query` / :meth:`query_batch` / :meth:`query_topk` answer
   :class:`~repro.service.QueryRequest` s with structured
   :class:`~repro.service.RegionResult` s, interning one aggregator
@@ -252,9 +253,10 @@ class RegionService:
         """Bind one dataset per its spec; returns what recovery did.
 
         Loads ``spec.data`` (unless ``dataset`` is handed in-memory),
-        restores ``spec.index`` when the bundle exists, attaches
-        ``spec.wal`` (writer mode) and replays it per the durability
-        policy.  The session lands in the pool under ``spec.key``.
+        starts at the epoch ``spec.index`` records when the bundle
+        exists, attaches ``spec.wal`` (writer mode) and replays it per
+        the durability policy.  The session lands in the pool under
+        ``spec.key``.
         """
         with self._lock:
             if spec.key in self._sessions:
@@ -270,7 +272,7 @@ class RegionService:
     ) -> tuple:
         """Construct (but do not register) a session per its spec.
 
-        The whole open choreography -- CSV load, bundle restore, WAL
+        The whole open choreography -- CSV load, bundle read, WAL
         attach, replay -- without touching the registries, so
         :meth:`refresh` can build a replacement session while the old
         one keeps serving.  Returns ``(session, dataset, OpenResult)``.
@@ -473,9 +475,7 @@ class RegionService:
             for r in results
         ]
 
-    def query_batch(
-        self, requests: Sequence[QueryRequest], *, workers: int | None = None
-    ) -> list:
+    def query_batch(self, requests: Sequence[QueryRequest]) -> list:
         """Answer a batch sharing every session cache (one dataset).
 
         All requests must target the same dataset and share the batch
@@ -503,26 +503,18 @@ class RegionService:
         session = self.session(head.dataset)
         queries = [self._asrs_query(r) for r in requests]
 
-        # Same fan-out shape as QuerySession.solve_batch, but through
-        # solve_with_epoch so every answer is labeled with the epoch it
-        # was actually computed at (updates may interleave mid-batch).
-        def one(q):
-            return session.solve_with_epoch(
+        # QuerySession.solve_batch's loop, but through solve_with_epoch
+        # so every answer is labeled with the epoch it was actually
+        # computed at (updates may interleave mid-batch).
+        results = [
+            session.solve_with_epoch(
                 q,
                 method=head.method,
                 delta=head.delta,
                 probe_cells=head.probe_cells,
             )
-
-        if workers is None or workers <= 1 or len(queries) <= 1:
-            results = [one(q) for q in queries]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(queries))
-            ) as ex:
-                results = list(ex.map(one, queries))
+            for q in queries
+        ]
         self._pool.reaccount(head.dataset)
         self._count(head.dataset, "queries", by=len(requests))
         elapsed = (time.perf_counter() - t0) / max(len(requests), 1)
@@ -535,8 +527,7 @@ class RegionService:
         """Precompute the target-independent artefacts of request shapes.
 
         Returns the number of distinct ``(terms, width, height)``
-        shapes warmed (what ``repro index-build`` reports and
-        persists).
+        shapes warmed.
         """
         shapes = set()
         for request in requests:
@@ -715,6 +706,7 @@ class RegionService:
                 "both data= (baseline CSV) and index= (bundle) paths"
             )
         from ..data.io import save_csv
+        from ..engine.persist import save_session
 
         # The whole CSV -> bundle -> WAL-truncate sequence holds the
         # session's gate *shared* (DESIGN.md §11.3): an update landing
@@ -732,7 +724,7 @@ class RegionService:
                 wal = session.wal
                 before = wal.state()["records"] if wal is not None else 0
                 faults.failpoint(FP_CHECKPOINT_PRE_BUNDLE)
-                self._pool.save(key, spec.index, checkpoint_wal=True)
+                save_session(session, spec.index, checkpoint_wal=True)
                 after = wal.state()["records"] if wal is not None else 0
                 with self._lock:
                     # The on-disk baseline now reflects the live session.
@@ -922,7 +914,9 @@ class RegionService:
             baseline_current = baseline_overwritten or dataset is baseline
             result_kwargs["baseline_current"] = baseline_current
             if save_index:
-                self._pool.save(key, save_index, checkpoint_wal=baseline_current)
+                from ..engine.persist import save_session
+
+                save_session(session, save_index, checkpoint_wal=baseline_current)
                 result_kwargs["saved_index"] = save_index
                 if wal is not None:
                     result_kwargs["wal_action"] = (

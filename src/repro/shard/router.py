@@ -453,11 +453,8 @@ class ShardRouter:
                 )
         return results
 
-    def query_batch(
-        self, requests: Sequence[QueryRequest], *, workers: Optional[int] = None
-    ) -> List[RegionResult]:
+    def query_batch(self, requests: Sequence[QueryRequest]) -> List[RegionResult]:
         """A batch of independent single-result queries, one scatter."""
-        del workers  # parallelism lives in the per-shard fan-out
         t0 = time.perf_counter()
         if not requests:
             return []

@@ -188,44 +188,6 @@ class TestCommands:
         assert "distance=0" in out  # the fig1 targets are achievable
         assert "QuerySession" in out
 
-    def test_index_build_then_warm_batch(self, tmp_path, fig1_dataset, capsys):
-        """index-build + batch --index must print exactly what a cold
-        batch prints (bitwise-identical serving), warm from disk."""
-        import json
-
-        data = self._write_fig1(tmp_path, fig1_dataset)
-        spec = {
-            "terms": ["fD:category", "fA:price@category=Apartment"],
-            "width": 4.0,
-            "height": 4.0,
-            "queries": [
-                {"target": [2, 1, 1, 1, 1.75]},
-                {"target": [3, 1, 1, 1, 1.6]},
-            ],
-        }
-        queries = tmp_path / "queries.json"
-        queries.write_text(json.dumps(spec))
-        common = [
-            "--data", data,
-            "--categorical", "category",
-            "--numeric", "price",
-            "--queries", str(queries),
-        ]
-        bundle = tmp_path / "fig1.idx"
-        rc = main(["index-build", *common, "--out", str(bundle)])
-        assert rc == 0
-        assert "wrote session index" in capsys.readouterr().out
-        assert bundle.exists()
-
-        rc = main(["batch", *common])
-        assert rc == 0
-        cold_out = capsys.readouterr().out
-
-        rc = main(["batch", *common, "--index", str(bundle), "--workers", "2"])
-        assert rc == 0
-        warm_out = capsys.readouterr().out
-        assert warm_out == cold_out
-
     def test_update_append_delete(self, tmp_path, fig1_dataset, capsys):
         """`update` patches the dataset and answers like a cold batch on
         the mutated data; --save-index writes an epoch-stamped bundle."""
@@ -283,13 +245,12 @@ class TestCommands:
         update_answers = [l for l in out.splitlines() if l.startswith("query #")]
         assert update_answers == batch_out.strip().splitlines()
 
-        # The saved bundle serves the --save-data CSV warm (the pair
+        # The saved bundle records the --save-data CSV's epoch (the pair
         # travels together: the bundle fingerprints the mutated data).
-        rc = main(
-            ["batch", "--data", str(saved_csv), *common, "--index", str(bundle)]
-        )
-        assert rc == 0
-        assert capsys.readouterr().out.strip().splitlines() == update_answers
+        from repro.engine import load_session
+
+        saved = load_csv_infer(saved_csv, categorical=["category"], numeric=["price"])
+        assert load_session(bundle, saved).epoch == 1
 
     def _update_spec(self, tmp_path):
         import json
@@ -342,134 +303,65 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "expected I,J,K" in capsys.readouterr().err
 
-    def test_index_build_custom_granularity(self, tmp_path, fig1_dataset, capsys):
-        import json
-
-        data = self._write_fig1(tmp_path, fig1_dataset)
-        queries = tmp_path / "queries.json"
-        queries.write_text(
-            json.dumps(
-                {
-                    "terms": ["fD:category"],
-                    "width": 4.0,
-                    "height": 4.0,
-                    "queries": [{"target": [2, 1, 1, 1]}],
-                }
-            )
-        )
-        bundle = tmp_path / "fig1.idx"
-        rc = main(
+    def _shard_plan(self, tmp_path, data, granularity):
+        return main(
             [
-                "index-build",
+                "shard-plan",
                 "--data", data,
                 "--categorical", "category",
                 "--numeric", "price",
-                "--queries", str(queries),
-                "--granularity", "5,6",
-                "--out", str(bundle),
+                "--nx", "1", "--ny", "1", "--wmax", "4", "--hmax", "4",
+                "--granularity", granularity,
+                "--out", str(tmp_path / "shards"),
             ]
         )
-        assert rc == 0
-        assert "granularity 5x6" in capsys.readouterr().out
 
-    def test_index_build_bad_granularity(self, tmp_path, fig1_dataset):
-        import json
-
-        data = self._write_fig1(tmp_path, fig1_dataset)
-        queries = tmp_path / "queries.json"
-        queries.write_text(
-            json.dumps(
-                {
-                    "terms": ["fD:category"],
-                    "width": 4.0,
-                    "height": 4.0,
-                    "queries": [{"target": [2, 1, 1, 1]}],
-                }
-            )
-        )
-        with pytest.raises(SystemExit, match="granularity"):
-            main(
-                [
-                    "index-build",
-                    "--data", data,
-                    "--categorical", "category",
-                    "--numeric", "price",
-                    "--queries", str(queries),
-                    "--granularity", "wide",
-                    "--out", str(tmp_path / "x.idx"),
-                ]
-            )
-
-    def test_index_build_nonpositive_granularity(self, tmp_path, fig1_dataset):
-        import json
-
-        data = self._write_fig1(tmp_path, fig1_dataset)
-        queries = tmp_path / "queries.json"
-        queries.write_text(
-            json.dumps(
-                {
-                    "terms": ["fD:category"],
-                    "width": 4.0,
-                    "height": 4.0,
-                    "queries": [{"target": [2, 1, 1, 1]}],
-                }
-            )
-        )
-        with pytest.raises(SystemExit, match=">= 1"):
-            main(
-                [
-                    "index-build",
-                    "--data", data,
-                    "--categorical", "category",
-                    "--numeric", "price",
-                    "--queries", str(queries),
-                    "--granularity", "0,5",
-                    "--out", str(tmp_path / "x.idx"),
-                ]
-            )
-
-    def test_batch_with_mismatched_index(self, tmp_path, fig1_dataset):
-        """--index built over different data must fail loudly."""
+    def test_shard_plan_custom_granularity(self, tmp_path, fig1_dataset, capsys):
         import json
 
         import numpy as np
 
         data = self._write_fig1(tmp_path, fig1_dataset)
+        assert self._shard_plan(tmp_path, data, "5,6") == 0
+        bundles = sorted((tmp_path / "shards").glob("*.bundle"))
+        assert bundles
+        for bundle in bundles:
+            with np.load(bundle, allow_pickle=False) as npz:
+                assert json.loads(str(npz["meta"][()]))["granularity"] == [5, 6]
+
+    def test_shard_plan_bad_granularity(self, tmp_path, fig1_dataset):
+        data = self._write_fig1(tmp_path, fig1_dataset)
+        with pytest.raises(SystemExit, match="granularity"):
+            self._shard_plan(tmp_path, data, "wide")
+
+    def test_shard_plan_nonpositive_granularity(self, tmp_path, fig1_dataset):
+        data = self._write_fig1(tmp_path, fig1_dataset)
+        with pytest.raises(SystemExit, match=">= 1"):
+            self._shard_plan(tmp_path, data, "0,5")
+
+    def test_replay_with_mismatched_index(self, tmp_path, fig1_dataset):
+        """--index written over different data must fail loudly."""
+        import numpy as np
+
+        from repro.engine import QuerySession, save_session
+
+        data = self._write_fig1(tmp_path, fig1_dataset)
         other_csv = tmp_path / "other.csv"
         save_csv(fig1_dataset.subset(np.arange(fig1_dataset.n - 1)), other_csv)
-        queries = tmp_path / "queries.json"
-        queries.write_text(
-            json.dumps(
-                {
-                    "terms": ["fD:category"],
-                    "width": 4.0,
-                    "height": 4.0,
-                    "queries": [{"target": [2, 1, 1, 1]}],
-                }
-            )
-        )
+        other = load_csv_infer(other_csv, categorical=["category"], numeric=["price"])
         bundle = tmp_path / "other.idx"
-        rc = main(
-            [
-                "index-build",
-                "--data", str(other_csv),
-                "--categorical", "category",
-                "--numeric", "price",
-                "--queries", str(queries),
-                "--out", str(bundle),
-            ]
-        )
-        assert rc == 0
-        assert bundle.exists()
+        save_session(QuerySession(other), bundle)
+        wal = tmp_path / "data.wal"
+        wal.write_bytes(b"")
         with pytest.raises(SystemExit, match="different dataset"):
             main(
                 [
-                    "batch",
+                    "replay",
                     "--data", data,
                     "--categorical", "category",
                     "--numeric", "price",
-                    "--queries", str(queries),
                     "--index", str(bundle),
+                    "--wal", str(wal),
                 ]
             )
 
@@ -552,6 +444,14 @@ class TestWalReplayCli:
         ]
         return str(data), str(queries), common
 
+    @staticmethod
+    def _epoch0_bundle(data, bundle):
+        """The bundle a checkpoint of the untouched --data would write."""
+        from repro.engine import QuerySession, save_session
+
+        dataset = load_csv_infer(data, categorical=["category"], numeric=["price"])
+        save_session(QuerySession(dataset), bundle)
+
     def test_replay_help_smoke(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["replay", "--help"])
@@ -570,9 +470,7 @@ class TestWalReplayCli:
         data, queries, common = self._setup(tmp_path, fig1_dataset)
         bundle = tmp_path / "fig1.idx"
         wal = tmp_path / "fig1.wal"
-        rc = main(["index-build", "--data", data, *common, "--out", str(bundle)])
-        assert rc == 0
-        capsys.readouterr()
+        self._epoch0_bundle(data, bundle)
 
         extra = fig1_dataset.subset(np.array([0, 3]))
         append_csv = tmp_path / "extra.csv"
@@ -638,7 +536,7 @@ class TestWalReplayCli:
         wal = tmp_path / "fig1.wal"
         saved = tmp_path / "recovered.idx"
         saved_csv = tmp_path / "recovered.csv"
-        assert main(["index-build", "--data", data, *common, "--out", str(bundle)]) == 0
+        self._epoch0_bundle(data, bundle)
         extra = fig1_dataset.subset(np.array([2]))
         append_csv = tmp_path / "extra.csv"
         save_csv(extra, append_csv)
@@ -682,13 +580,17 @@ class TestWalReplayCli:
         # No temp droppings from the atomic writes.
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
-        # The caught-up (baseline data, saved bundle) pair serves warm.
+        # The caught-up (baseline data, saved bundle) pair reopens at
+        # the recovered epoch with nothing left to replay.
         assert main(
             [
-                "batch", "--data", data, *common,
-                "--index", str(saved),
+                "replay", "--data", data, *common,
+                "--index", str(saved), "--wal", str(wal),
             ]
         ) == 0
+        out = capsys.readouterr().out
+        assert "recovered session at epoch 1" in out
+        assert "replayed" not in out
 
     def test_update_wal_save_data_without_save_index_stays_usable(
         self, tmp_path, fig1_dataset, capsys
@@ -861,3 +763,38 @@ class TestServeShardsOpenFailure:
         assert f"cannot open --shards {shards}: " in proc.stderr
         assert "shard 1 worker failed to open" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _readme_commands() -> list:
+    """argv of every ``python -m repro.cli`` command in README.md's ``sh``
+    blocks, with ``\\`` continuations joined and ``#`` comments dropped."""
+    import re
+    import shlex
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+            if "python -m repro.cli" in line:
+                tail = line.split("python -m repro.cli", 1)[1]
+                commands.append(shlex.split(tail, comments=True))
+    return commands
+
+
+class TestReadmeCommands:
+    """The README quickstart must keep parsing as the CLI changes."""
+
+    def test_readme_names_the_quickstart_commands(self):
+        names = {argv[0] for argv in _readme_commands()}
+        assert {"generate", "search", "serve", "shard-plan", "lint"} <= names
+
+    @pytest.mark.parametrize(
+        "argv",
+        _readme_commands(),
+        ids=lambda argv: "-".join(argv[:1]),
+    )
+    def test_readme_command_parses(self, argv):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(argv)  # exits 2 on a bad flag
+        assert args.command == argv[0]

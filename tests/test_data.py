@@ -208,6 +208,67 @@ class TestCsvIO:
             b"1e-300,-7.0,Sat,10,0.30000000000000004\r\n"
         )
 
+    def test_save_csv_quotes_like_csv_writer(self, tmp_path):
+        """Domain values the dialect must quote, or leave bare, come out
+        byte for byte as ``csv.writer`` writes them."""
+        import csv
+        import io
+
+        domain = ("a,b", 'say "hi"', "two\r\nlines", " lead", "", "plain")
+        schema = Schema.of(CategoricalAttribute("tag", domain), NumericAttribute("v"))
+        codes = np.arange(len(domain))
+        dataset = SpatialDataset(
+            codes * 0.5, -codes / 3.0, schema, {"tag": codes, "v": codes * 1e-7}
+        )
+        save_csv(dataset, tmp_path / "quoted.csv")
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["x", "y", "tag", "v"])
+        writer.writerows(
+            zip(
+                dataset.xs.tolist(),
+                dataset.ys.tolist(),
+                domain,
+                dataset.column("v").tolist(),
+            )
+        )
+        assert (tmp_path / "quoted.csv").read_bytes() == want.getvalue().encode()
+
+    def test_save_after_updates_formats_only_new_rows(self, tmp_path, monkeypatch):
+        """A dataset derived by deletes and appends from a saved one carries
+        the saved rows' lines: its save formats only the appended rows,
+        and writes the bytes a save of the same rows built afresh writes."""
+        import repro.data.io as data_io
+
+        base, _ = generate_city_dataset(300, seed=4)
+        save_csv(base, tmp_path / "base.csv")
+        extra = base.subset(np.arange(7))
+        derived = base.delete(np.arange(10, 300, 9)).append(extra).delete([0, 5])
+        fresh = SpatialDataset(
+            derived.xs.copy(),
+            derived.ys.copy(),
+            derived.schema,
+            {name: derived.column(name).copy() for name in derived.schema.names},
+        )
+        formatted = []
+        real = data_io._csv_lines
+
+        def counting(dataset, rows):
+            formatted.append(len(rows))
+            return real(dataset, rows)
+
+        monkeypatch.setattr(data_io, "_csv_lines", counting)
+        save_csv(derived, tmp_path / "derived.csv")
+        assert formatted == []  # extra's rows came from the saved base too
+        derived2 = derived.append(fresh.subset(np.arange(3)))
+        save_csv(derived2, tmp_path / "derived2.csv")
+        assert formatted == [3]
+        save_csv(fresh, tmp_path / "fresh.csv")
+        assert formatted == [3, fresh.n]
+        assert (tmp_path / "derived.csv").read_bytes() == (
+            tmp_path / "fresh.csv"
+        ).read_bytes()
+
     def test_header_mismatch_raises(self, tmp_path, fig1_dataset):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")

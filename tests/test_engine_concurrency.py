@@ -84,23 +84,27 @@ class TestConcurrentSession:
         assert info["reductions"] == 2  # two region sizes
         assert info["lattices"] == 2
 
-    def test_solve_batch_workers_identical_to_serial(self):
+    def test_thread_pool_batch_identical_to_serial(self):
         dataset, queries = _workload(31, 50, 8)
         session = QuerySession(dataset, settings=SMALL)
         serial = session.solve_batch(queries)
-        parallel = session.solve_batch(queries, workers=4)
-        cold_parallel = QuerySession(dataset, settings=SMALL).solve_batch(
-            queries, workers=4
-        )
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            parallel = list(ex.map(session.solve, queries))
+        cold = QuerySession(dataset, settings=SMALL)
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            cold_parallel = list(ex.map(cold.solve, queries))
         assert len(parallel) == len(queries)
         for s, p, c in zip(serial, parallel, cold_parallel):
             assert _same_result(s, p)
             assert _same_result(s, c)
 
-    def test_solve_batch_workers_with_stats(self):
+    def test_thread_pool_solves_with_stats(self):
         dataset, queries = _workload(37, 30, 4)
         session = QuerySession(dataset, settings=SMALL)
-        results = session.solve_batch(queries, workers=2, return_stats=True)
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            results = list(
+                ex.map(lambda q: session.solve(q, return_stats=True), queries)
+            )
         serial = session.solve_batch(queries, return_stats=True)
         for (r_p, s_p), (r_s, s_s) in zip(results, serial):
             assert _same_result(r_p, r_s)

@@ -9,6 +9,8 @@ instead of rebuilding it.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,7 +278,7 @@ class TestSessionUpdates:
         assert stats.appended == 1
         assert session.dataset.n == 26
 
-    def test_solve_batch_workers_after_update(self):
+    def test_threaded_solves_after_update(self):
         rng = np.random.default_rng(17)
         ds = make_random_dataset(rng, 150, extent=90.0)
         agg = random_aggregator()
@@ -289,7 +291,8 @@ class TestSessionUpdates:
                 delete=_interior_delete(rng, ds, 10),
             )
         )
-        parallel = session.solve_batch(queries, workers=4)
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            parallel = list(ex.map(session.solve, queries))
         cold = QuerySession(
             session.dataset,
             granularity=session.granularity,
@@ -313,11 +316,11 @@ class TestSessionUpdates:
         # Weight matrices and rect sets grew with the rows.
         assert after != before
 
-    def test_bound_context_moving_append_drops_lattices(self):
+    def test_bound_context_moving_append_refreshes_lattices(self):
         """Average-term bounds read the bound-context extremes at every
-        lattice position.  An append that moves the selected max drops
-        the cached lattice like any update, and the re-derived one
-        answers like a cold session."""
+        lattice position.  An append that moves the selected max
+        re-derives the cached lattice with the new context like any
+        update, bit for bit a cold session's, and answers like one."""
         rng = np.random.default_rng(51)
         agg = random_aggregator(with_avg=True)
         ds = make_random_dataset(rng, 250, extent=90.0)
@@ -333,14 +336,22 @@ class TestSessionUpdates:
         )
         stats = session.append(spike)  # k0 max score moves
         assert stats.index_patched
-        assert stats.lattices_dropped >= 1
-        assert not session._lattices
+        assert stats.lattices_refreshed >= 1 and stats.lattices_dropped == 0
+        cold = QuerySession(
+            session.dataset,
+            granularity=session.granularity,
+            settings=session.settings,
+        )
+        for (width, height, _), lattice in session._lattices.items():
+            want = cold.lattice_for(width, height, cold.compiler_for(agg))
+            for got, expected in zip(lattice, want):
+                np.testing.assert_array_equal(got, expected)
         _assert_matches_cold(session, _queries(session.dataset, agg, k=1))
 
     def test_rederived_lattice_bitwise_equal_cold(self):
-        """The next solve re-derives the dropped lattice from the patched
-        channel table and the kept geometry, bit for bit a cold
-        session's intervals."""
+        """The update re-derives the lattice from the patched channel
+        table and the kept geometry, bit for bit a cold session's
+        intervals, and the next solve uses it as is."""
         rng = np.random.default_rng(50)
         agg = random_aggregator()
         ds = make_random_dataset(rng, 250, extent=90.0)
@@ -355,9 +366,10 @@ class TestSessionUpdates:
             )
         )
         assert stats.index_patched
-        assert stats.lattices_dropped == 1
-        session.solve(queries[0])
+        assert (stats.lattices_refreshed, stats.lattices_dropped) == (1, 0)
         ((width, height, _), rederived), = session._lattices.items()
+        session.solve(queries[0])
+        assert next(iter(session._lattices.values())) is rederived
         cold = QuerySession(
             session.dataset,
             granularity=session.granularity,
@@ -369,7 +381,7 @@ class TestSessionUpdates:
 
     def test_lattice_patch_stats_stay_zero(self):
         """No update patches a lattice in place, so lattices_patched and
-        lattice_positions_refreshed read 0 while the drop is counted
+        lattice_positions_refreshed read 0 while the refresh is counted
         (the serve benchmark's trace bootstrap reads both fields)."""
         rng = np.random.default_rng(52)
         agg = random_aggregator()
@@ -379,7 +391,7 @@ class TestSessionUpdates:
             session.solve(query)
         stats = session.append(_in_bounds_rows(rng, ds, 5))
         assert stats.index_patched
-        assert stats.lattices_dropped == 1
+        assert stats.lattices_refreshed == 1
         assert stats.lattices_patched == 0
         assert stats.lattice_positions_refreshed == 0
 
@@ -558,7 +570,8 @@ class TestConcurrentUpdates:
         results = {}
 
         def run_batch():
-            results["batch"] = session.solve_batch(queries, workers=3)
+            with ThreadPoolExecutor(max_workers=3) as ex:
+                results["batch"] = list(ex.map(session.solve, queries))
 
         worker = threading.Thread(target=run_batch)
         worker.start()
@@ -576,3 +589,77 @@ class TestConcurrentUpdates:
         # And the session itself now answers post-update.
         for query, post in zip(queries, after):
             assert _identical(session.solve(query), post)
+
+    def test_query_runs_beside_an_update_derivation(self, monkeypatch):
+        """An update derives its new state holding the gate shared: a
+        query issued while the derivation is parked completes, with the
+        pre-update answer, and the update commits after it."""
+        import threading
+
+        import repro.engine.updates as updates_module
+
+        rng = np.random.default_rng(23)
+        ds = make_random_dataset(rng, 120, extent=90.0)
+        agg = random_aggregator()
+        session = QuerySession(ds)
+        query = _queries(ds, agg, k=1)[0]
+        before = session.solve(query)
+
+        parked, release = threading.Event(), threading.Event()
+        real = updates_module.candidate_lattice_intervals
+
+        def parking(*args, **kwargs):
+            parked.set()
+            assert release.wait(10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(updates_module, "candidate_lattice_intervals", parking)
+        results = {}
+        updater = threading.Thread(
+            target=lambda: results.update(
+                stats=session.append(_in_bounds_rows(rng, ds, 5))
+            )
+        )
+        updater.start()
+        try:
+            assert parked.wait(10)
+            during = session.solve(query)  # would deadlock if the gate were held
+            assert session.epoch == 0
+        finally:
+            release.set()
+            updater.join(10)
+        assert not updater.is_alive()
+        assert _identical(during, before)
+        assert results["stats"].epoch == 1 and session.epoch == 1
+        _assert_matches_cold(session, [query])
+
+    def test_concurrent_updates_both_land(self):
+        """Two updates deriving at once from the same state: the one that
+        commits second derives again, so neither is lost."""
+        import threading
+
+        rng = np.random.default_rng(24)
+        ds = make_random_dataset(rng, 150, extent=90.0)
+        session = QuerySession(ds)
+        agg = random_aggregator()
+        session.solve(_queries(ds, agg, k=1)[0])
+        first, second = _in_bounds_rows(rng, ds, 4), _in_bounds_rows(rng, ds, 6)
+        barrier = threading.Barrier(2)
+
+        def run(rows):
+            barrier.wait(10)
+            session.append(rows)
+
+        threads = [threading.Thread(target=run, args=(r,)) for r in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert session.epoch == 2 and session.dataset.n == ds.n + 10
+        appended = session.dataset.xs[ds.n :]
+        assert any(
+            np.array_equal(appended, np.concatenate([a.xs, b.xs]))
+            for a, b in ((first, second), (second, first))
+        )
+        _assert_matches_cold(session, _queries(session.dataset, agg, k=2))

@@ -256,7 +256,9 @@ class TestReplay:
         for query in queries:
             assert _identical(restored.solve(query), live.solve(query))
 
-    def test_pool_save_checkpoints(self, tmp_path):
+    def test_pooled_session_checkpoints_through_save_session(self, tmp_path):
+        """The pool keeps no save path: the session it holds is saved
+        directly, and that checkpoint truncates the pooled log."""
         rng = np.random.default_rng(31)
         ds = make_random_dataset(rng, 80, extent=90.0)
         agg = random_aggregator()
@@ -267,18 +269,14 @@ class TestReplay:
         pool.append("k", _in_bounds_rows(rng, ds, 5))
         session = pool.session("k")
         assert len(session.wal.records(ds.schema)) == 1
-        pool.save("k", tmp_path / "pool.idx")
+        save_session(session, tmp_path / "pool.idx")
         assert session.wal.records(ds.schema) == []
-        # Crash recovery through the pool: a fresh pool restores from
-        # bundle + (empty) wal and answers identically.
-        recovered_pool = SessionPool()
-        recovered = recovered_pool.session(
-            "k",
-            session.dataset,
-            index_path=tmp_path / "pool.idx",
-            wal=session.wal,
-            replay_wal=True,
-        )
+        # Crash recovery: the bundle opens at the checkpoint's epoch, a
+        # fresh pool adopts it, and the (empty) log replays onto it.
+        recovered = load_session(tmp_path / "pool.idx", session.dataset)
+        SessionPool().adopt("k", recovered)
+        stats = replay(recovered, tmp_path / "pool.wal")
+        assert (stats.applied, recovered.epoch) == (0, 1)
         assert _identical(
             recovered.solve(queries[0]), session.solve(queries[0])
         )
@@ -447,15 +445,45 @@ class TestFailureAtomicity:
         with pytest.raises(ValueError, match="already resident without"):
             pool.session("k", wal="/tmp/ignored.wal")
 
-    def test_two_failed_applies_leave_no_orphans(self, tmp_path, monkeypatch):
+    def test_two_failed_applies_leave_no_orphans(self, tmp_path):
         """Regression: rollback used to leave the append handle's
         position stale, so a second rollback truncated at the wrong
         offset and could zero-pad past (i.e. keep) the record it meant
         to remove.  Two consecutive failures, the second logging a
-        *smaller* record, must leave an empty log."""
-        from repro.index.grid_index import GridIndex
+        *smaller* record, must leave an empty log.  The failure is
+        injected between the log append and the swap (an update's
+        derivation runs before it logs anything)."""
+        from repro import faults
 
         rng = np.random.default_rng(63)
+        ds = make_random_dataset(rng, 60, extent=90.0)
+        session = QuerySession(ds)
+        session.solve(_queries(ds, random_aggregator(), k=1)[0])
+        wal = session.attach_wal(tmp_path / "b.wal")
+
+        faults.enable("update.post-log", "raise")
+        try:
+            big = _in_bounds_rows(rng, ds, 40)  # large record
+            with pytest.raises(faults.FailpointError):
+                session.append(big)
+            with pytest.raises(faults.FailpointError):
+                session.delete(np.array([1]))  # much smaller record
+        finally:
+            faults.disable("update.post-log")
+        assert wal.records(ds.schema) == []
+        frames, _, torn, _ = _scan(wal.path)
+        assert frames == [] and not torn
+        # The log still accepts and replays a clean retry.
+        session.delete(np.array([2]))
+        assert [e for e, _, _ in wal.records(ds.schema)] == [0]
+
+    def test_failed_derivation_logs_nothing(self, tmp_path, monkeypatch):
+        """An update derives its new state before it logs: when the
+        derivation raises, no record is written and the session is
+        untouched, so a retry logs at the same epoch."""
+        from repro.index.grid_index import GridIndex
+
+        rng = np.random.default_rng(65)
         ds = make_random_dataset(rng, 60, extent=90.0)
         session = QuerySession(ds)
         session.solve(_queries(ds, random_aggregator(), k=1)[0])
@@ -465,17 +493,12 @@ class TestFailureAtomicity:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(GridIndex, "updated", exploding)
-        big = _in_bounds_rows(rng, ds, 40)  # large record
-        with pytest.raises(RuntimeError):
-            session.append(big)
-        with pytest.raises(RuntimeError):
-            session.delete(np.array([1]))  # much smaller record
+        with pytest.raises(RuntimeError, match="boom"):
+            session.delete(np.array([1]))
         monkeypatch.undo()
-        assert wal.records(ds.schema) == []
-        frames, _, torn, _ = _scan(wal.path)
-        assert frames == [] and not torn
-        # The log still accepts and replays a clean retry.
-        session.delete(np.array([2]))
+        assert session.epoch == 0 and session.dataset is ds
+        assert wal.state()["records"] == 0
+        session.delete(np.array([1]))
         assert [e for e, _, _ in wal.records(ds.schema)] == [0]
 
     def test_checkpointed_empty_log_fails_closed_on_old_bundle(self, tmp_path):

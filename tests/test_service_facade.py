@@ -11,6 +11,7 @@ and read replicas follow a writer's log.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -139,13 +140,16 @@ class TestQueries:
         ds = make_random_dataset(rng, 120, extent=90.0)
         service = _open_in_memory(ds)
         requests = _requests(ds, k=4)
-        results = service.query_batch(requests, workers=2)
+        results = service.query_batch(requests)
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            threaded = list(ex.map(service.query, requests))
         direct = QuerySession(ds, granularity=service.session("d").granularity)
         expected = direct.solve_batch(_asrs_queries(ds, requests))
         assert len(results) == 4
-        for got, want in zip(results, expected):
+        for got, again, want in zip(results, threaded, expected):
             assert _matches_engine(got, want)
-        assert service.stats()["datasets"]["d"]["queries"] == 4
+            assert _matches_engine(again, want)
+        assert service.stats()["datasets"]["d"]["queries"] == 8
 
     def test_ds_method_and_result_metadata(self):
         rng = np.random.default_rng(3)
@@ -254,6 +258,53 @@ class TestUpdatesAndPolicy:
         assert opened.restored_from_bundle
         assert opened.epoch == 2 and opened.replayed == 0
         assert opened.n == service.session("d").dataset.n
+
+    def test_checkpoint_bundle_holds_only_meta(self, tmp_path):
+        """A checkpoint of a warm session writes the epoch record only:
+        no warm array travels to disk."""
+        import zipfile
+
+        rng = np.random.default_rng(15)
+        ds = make_random_dataset(rng, 80, extent=90.0)
+        service, spec = self._open_durable(tmp_path, ds)
+        for request in _requests(ds, k=2):
+            service.query(request)
+        service.update(
+            UpdateRequest(dataset="d", append=_append_records(rng, ds, 2))
+        )
+        assert service.checkpoint("d").epoch == 1
+        with zipfile.ZipFile(spec.index) as bundle:
+            assert bundle.namelist() == ["meta.npy"]
+
+    def test_restarted_service_answers_bitwise_equal(self, tmp_path):
+        """Restart after a checkpoint with more records logged past it:
+        the new service answers every request exactly as the old one."""
+        rng = np.random.default_rng(16)
+        ds = make_random_dataset(rng, 120, extent=90.0)
+        service, spec = self._open_durable(
+            tmp_path, ds, checkpoint_on_close=False
+        )
+        requests = _requests(ds, k=3)
+        service.update(
+            UpdateRequest(
+                dataset="d", append=_append_records(rng, ds, 4), delete=(2, 9)
+            )
+        )
+        service.checkpoint("d")
+        service.update(
+            UpdateRequest(dataset="d", append=_append_records(rng, ds, 3))
+        )
+        service.update(UpdateRequest(dataset="d", delete=(0, 5)))
+        before = [service.query(r) for r in requests]
+        service.close()
+
+        restarted = RegionService()
+        opened = restarted.open(spec)
+        assert opened.restored_from_bundle
+        assert (opened.epoch, opened.replayed) == (3, 2)
+        after = [restarted.query(r) for r in requests]
+        for a, b in zip(before, after):
+            assert _same_answer(a, b)
 
     def test_checkpoint_every_bytes_trigger(self, tmp_path):
         rng = np.random.default_rng(12)
