@@ -188,9 +188,7 @@ class SpatialDataset:
         zeros and objects exactly on an edge alike.  The key is finer
         than the set: unequal rows may still cover equal sets.
         """
-        if self._sorted is None:
-            self._sorted = (np.sort(self._xs), np.sort(self._ys))
-        sx, sy = self._sorted
+        sx, sy = self._sorted_coordinates()
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         return np.stack(
@@ -202,6 +200,23 @@ class SpatialDataset:
             ],
             axis=1,
         )
+
+    def region_rank_key(
+        self, x: float, y: float, width: float, height: float
+    ) -> tuple[int, int, int, int]:
+        """One row of :meth:`region_rank_keys`, as a tuple of ints."""
+        sx, sy = self._sorted_coordinates()
+        return (
+            int(sx.searchsorted(x, side="right")),
+            int(sx.searchsorted(x + width, side="left")),
+            int(sy.searchsorted(y, side="right")),
+            int(sy.searchsorted(y + height, side="left")),
+        )
+
+    def _sorted_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._sorted is None:
+            self._sorted = (np.sort(self._xs), np.sort(self._ys))
+        return self._sorted
 
     def count_in_region(self, region: Rect) -> int:
         return int(self.mask_in_region(region).sum())

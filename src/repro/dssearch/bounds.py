@@ -1,7 +1,7 @@
-"""Dirty-cell lower bounds (Equation 1 with float-safety slack).
+"""Float-safety slack for Equation-1 lower bounds.
 
-The metric's :meth:`lower_bound_many` implements Equation 1 exactly; the
-helper here additionally subtracts a tiny relative slack so that
+The metric's :meth:`lower_bound_many` implements Equation 1 exactly;
+:func:`apply_slack` additionally subtracts a tiny relative slack so that
 floating-point round-off in the accumulated channel sums can never push
 a bound *above* the true distance and wrongly prune the optimum.
 """
@@ -10,25 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.channels import BOUND_SLACK, BoundContext, ChannelCompiler
-from ..core.query import ASRSQuery
-
-
-def dirty_cell_lower_bounds(
-    query: ASRSQuery,
-    compiler: ChannelCompiler,
-    full: np.ndarray,
-    over: np.ndarray,
-    ctx: BoundContext,
-) -> np.ndarray:
-    """Equation-1 lower bounds for a batch of dirty cells.
-
-    ``full`` and ``over`` hold the channel sums of the fully-covering and
-    fully-or-partially-covering rectangle sets, shaped ``(m, C)``.
-    """
-    lo, hi = compiler.bounds_from_sums(full, over, ctx)
-    lbs = query.metric.lower_bound_many(lo, hi, query.query_rep)
-    return apply_slack(lbs)
+from ..core.channels import BOUND_SLACK
 
 
 def apply_slack(lbs: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ than the *search schedule*, in two passes:
 Pass 2 repeats none of pass 1's target-independent work: both engines
 share one space memo (DESIGN.md §7.1), so every space pass 1 processed
 -- the pieces and their split children -- serves pass 2 its
-accumulation (a session keeps the memo of hole-free solves across
+visit (a session keeps the memo of hole-free solves across
 solves), and pass 2 verifies each covered point set once.
 
 The composition is decomposition-independent: a shard restricted to an
@@ -83,19 +83,14 @@ class TieCollectingEngine(DSSearchEngine):
     the engine's :meth:`~DSSearchEngine._verify_once` verifies each set
     once, and only the first anchor of each tied set is recorded --
     :func:`canonical_pick` canonicalizes per set, so the answer does not
-    depend on which anchor stands for it.  Before any O(n) membership
-    mask is built, candidates are deduplicated by their coordinate-rank
-    key (:meth:`~repro.core.objects.SpatialDataset.region_rank_keys`):
-    equal keys cover equal sets, so a key this engine has seen belongs
-    to a set already verified.  Its accumulations come from the space
-    memo it shares with the pass-1 engine (see :func:`solve_canonical`).
+    depend on which anchor stands for it.  A batch's candidates are
+    keyed by coordinate rank in one vectorized pass
+    (:meth:`~repro.core.objects.SpatialDataset.region_rank_keys`), and
+    a key the verified-set memo already holds is skipped before any
+    call: equal keys cover equal sets, so it belongs to a set already
+    verified.  Its visits come from the space memo it shares
+    with the pass-1 engine (see :func:`solve_canonical`).
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Rank keys already handed to _verify_once; lives as long as
-        # the engine's verified-set memo.
-        self._ranked: set[tuple[int, ...]] = set()
 
     def arm(self, dstar: float) -> None:
         self.dstar = float(dstar)
@@ -128,9 +123,8 @@ class TieCollectingEngine(DSSearchEngine):
         _, first = np.unique(keys, axis=0, return_index=True)
         first.sort()
         for j, key in zip(first, map(tuple, keys[first].tolist())):
-            if key in self._ranked:
+            if key in self._verified:
                 continue
-            self._ranked.add(key)
             x, y = float(px[near[j]]), float(py[near[j]])
             verified, fresh = self._verify_once(x, y)
             if fresh and verified == self.dstar:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from ..core.channels import ChannelCompiler
 from ..core.geometry import Rect
 from ..core.objects import SpatialDataset
 from ..core.query import ASRSQuery, RegionResult
-from .bounds import dirty_cell_lower_bounds
+from .bounds import apply_slack
 from .drop import gps_accuracy, satisfies_drop_condition
 from .grid import BufferPool, DiscretizationGrid, GridAccumulation
 from .split import split_space
@@ -50,6 +51,31 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(c)`` for each ``c`` in ``counts``."""
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
+class SpaceVisit(NamedTuple):
+    """What a visit to a space derives before the target enters.
+
+    The clean cells' ``(rows, cols)`` in row-major order and their
+    exact representations, and the dirty cells' ``(rows, cols)`` in
+    row-major order and their Equation-1 representation intervals
+    ``lo``/``hi``.  ``reps`` is ``None`` when no cell is clean, ``lo``
+    and ``hi`` when none is dirty.  The space memo stores one visit per
+    space (DESIGN.md §7.1); its arrays are read-only, since concurrent
+    solves share them.
+    """
+
+    clean_rows: np.ndarray
+    clean_cols: np.ndarray
+    reps: np.ndarray | None
+    dirty_rows: np.ndarray
+    dirty_cols: np.ndarray
+    lo: np.ndarray | None
+    hi: np.ndarray | None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in self if arr is not None)
 
 
 @dataclass(frozen=True)
@@ -144,7 +170,7 @@ class DSSearchEngine:
         pool: BufferPool | None = None,
         spaces: dict | None = None,
     ) -> None:
-        if delta < 0:
+        if not delta >= 0:  # NaN too: it would make every prune test false
             raise ValueError("delta must be non-negative")
         self.dataset = dataset
         self.query = query
@@ -181,11 +207,12 @@ class DSSearchEngine:
         self._pool = pool if pool is not None else BufferPool()
         #: The space memo this engine reads and fills (DESIGN.md §7.1):
         #: each processed space's target-independent ``(active,
-        #: accumulation)``, shared by the engines of one query shape.
-        #: ``None`` memoizes nothing.
+        #: visit)`` (a :class:`SpaceVisit`), shared by the engines of one
+        #: query shape.  ``None`` memoizes nothing.
         self.spaces = spaces
-        # Verified distance per covered set (see :meth:`_verify_once`).
-        self._verified: dict[bytes, float] = {}
+        # Verified distance per covered set, keyed by coordinate-rank
+        # tuple and by packed membership mask (see :meth:`_verify_once`).
+        self._verified: dict[tuple | bytes, float] = {}
 
         # Seed: the empty region is always a valid answer.  The seed
         # point sits two query sizes below-left of the rectangle union:
@@ -246,17 +273,26 @@ class DSSearchEngine:
         A verified distance is a function of the covered point set
         alone, so this engine runs :meth:`true_distance` once per set:
         on a tie plateau, or for a run of near-edge mirages, hundreds
-        of candidates cover one and the same set.  Sets are keyed by
-        their exact packed membership bytes.
+        of candidates cover one and the same set.  A candidate is
+        looked up by its coordinate-rank tuple first
+        (:meth:`~repro.core.objects.SpatialDataset.region_rank_key`,
+        O(log n)): equal tuples cover equal sets.  The tuple is finer
+        than the set, so on a miss the exact packed membership bytes
+        decide, and the distance is stored under both keys.
         """
-        region = region_for_point(x, y, self.query.width, self.query.height)
-        mask = self.dataset.mask_in_region(region)
-        key = np.packbits(mask).tobytes()
-        verified = self._verified.get(key)
+        w, h = self.query.width, self.query.height
+        rank = self.dataset.region_rank_key(x, y, w, h)
+        verified = self._verified.get(rank)
         if verified is not None:
             return verified, False
-        verified = self._verified[key] = self.true_distance(x, y, mask)
-        return verified, True
+        mask = self.dataset.mask_in_region(region_for_point(x, y, w, h))
+        packed = np.packbits(mask).tobytes()
+        verified = self._verified.get(packed)
+        fresh = verified is None
+        if fresh:
+            verified = self._verified[packed] = self.true_distance(x, y, mask)
+        self._verified[rank] = verified
+        return verified, fresh
 
     def offer_batch(
         self, px: np.ndarray, py: np.ndarray, dists: np.ndarray
@@ -308,6 +344,7 @@ class DSSearchEngine:
             return entry[0]
         active = np.flatnonzero(self.rects.overlap_mask(space))
         if not active.size and memo is not None and len(memo) < CELL_CACHE_CAP:
+            active.setflags(write=False)
             memo[key] = (active, None)
         return active
 
@@ -376,8 +413,8 @@ class DSSearchEngine:
         ncol, nrow = settings.grid_shape(active.size)
         grid = DiscretizationGrid(space, ncol, nrow, pool=self._pool)
         try:
-            acc, sub = self._accumulation(grid, space, active, root)
-            self._discretize_and_expand(heap, grid, active, depth, acc, sub)
+            visit, sub = self._accumulation(grid, space, active, root)
+            self._discretize_and_expand(heap, grid, active, depth, visit, sub)
         finally:
             # The grid's boundary buffers are dead once the space is
             # processed (children carry plain floats); recycle them.
@@ -390,13 +427,13 @@ class DSSearchEngine:
         active: np.ndarray,
         root: bool,
     ) -> tuple:
-        """``(accumulation, sub)`` of a space: memoized, or summed on ``grid``.
+        """``(visit, sub)`` of a space: memoized, or summed on ``grid``.
 
-        The accumulation depends on the space, its active rectangles,
-        their channel weights and the grid shape (a function of
-        ``active.size``), never on the target or the incumbent, so a
-        memo hit is bit for bit the sum it replaces.  A child's active
-        set is derived from its parent's, and the MBRs
+        The visit (:class:`SpaceVisit`) depends on the space, its active
+        rectangles, their channel weights and values and the grid shape
+        (a function of ``active.size``), never on the target or the
+        incumbent, so a memo hit is bit for bit the visit it replaces.
+        A child's active set is derived from its parent's, and the MBRs
         :func:`~repro.dssearch.split.split_space` builds can round past
         the parent's pinned last boundary, so a rectangle can meet a
         child space yet not the parent: a child's entry is used only
@@ -419,9 +456,40 @@ class DSSearchEngine:
             _has_presence=True,
         )
         self.stats.accumulations += 1
+        visit = self._visit_of(acc, active)
         if entry is None and memo is not None and len(memo) < CELL_CACHE_CAP:
-            memo[key] = (active, acc)
-        return acc, sub
+            active.setflags(write=False)
+            memo[key] = (active, visit)
+        return visit, sub
+
+    def _visit_of(self, acc: GridAccumulation, active: np.ndarray) -> SpaceVisit:
+        """The target-independent half of a visit, from the grid sums.
+
+        Clean cells' exact representations and dirty cells' Equation-1
+        intervals (with the bound context of the space's active values),
+        in row-major cell order; the target enters later, through
+        ``distance_many`` and ``lower_bound_many`` alone.
+        """
+        compiler = self.compiler
+        clean_rows, clean_cols = np.nonzero(~acc.dirty)
+        reps = (
+            compiler.rep_from_sums(acc.full[clean_rows, clean_cols])
+            if clean_rows.size
+            else None
+        )
+        dirty_rows, dirty_cols = np.nonzero(acc.dirty)
+        lo = hi = None
+        if dirty_rows.size:
+            lo, hi = compiler.bounds_from_sums(
+                acc.full[dirty_rows, dirty_cols],
+                acc.over[dirty_rows, dirty_cols],
+                compiler.make_context(active),
+            )
+        visit = SpaceVisit(clean_rows, clean_cols, reps, dirty_rows, dirty_cols, lo, hi)
+        for arr in visit:
+            if arr is not None:
+                arr.setflags(write=False)
+        return visit
 
     def _discretize_and_expand(
         self,
@@ -429,36 +497,30 @@ class DSSearchEngine:
         grid: DiscretizationGrid,
         active: np.ndarray,
         depth: int,
-        acc: GridAccumulation,
+        visit: SpaceVisit,
         sub: RectSet | None,
     ) -> None:
         st = self.stats
         settings = self.settings
+        target = self.query.query_rep
 
         # Clean cells: exact distances; best center updates the incumbent.
-        clean = acc.clean
-        n_clean = int(clean.sum())
+        n_clean = visit.clean_rows.size
         st.clean_cells += n_clean
         if n_clean:
-            reps = self.compiler.rep_from_sums(acc.full[clean])
-            dists = self.query.metric.distance_many(reps, self.query.query_rep)
+            dists = self.query.metric.distance_many(visit.reps, target)
             if float(dists.min()) < self.best_distance:
-                rows, cols = np.nonzero(clean)
+                rows, cols = visit.clean_rows, visit.clean_cols
                 cx, cy = grid.cell_centers()
                 self.offer_batch(cx[rows, cols], cy[rows, cols], dists)
 
         # Dirty cells: Equation-1 lower bounds, then prune.
-        dirty_rows, dirty_cols = np.nonzero(acc.dirty)
+        dirty_rows, dirty_cols = visit.dirty_rows, visit.dirty_cols
         st.dirty_cells += dirty_rows.size
         if dirty_rows.size == 0:
             return
-        ctx = self.compiler.make_context(active)
-        lbs = dirty_cell_lower_bounds(
-            self.query,
-            self.compiler,
-            acc.full[dirty_rows, dirty_cols],
-            acc.over[dirty_rows, dirty_cols],
-            ctx,
+        lbs = apply_slack(
+            self.query.metric.lower_bound_many(visit.lo, visit.hi, target)
         )
         keep = lbs < self._threshold()
         st.pruned_dirty_cells += int((~keep).sum())
@@ -549,21 +611,7 @@ class DSSearchEngine:
         st = self.stats
         sub = taken[0]
         st.resolved_dirty_cells += rows.size
-        # Chunk the cell batch so the (cells x 2·active) scratch
-        # matrices stay bounded even when a depth-capped space drops
-        # with a huge active set.
-        cell_chunk = max(1, 2_000_000 // max(1, 2 * sub.n))
-        if rows.size > cell_chunk:
-            parts = [
-                self._candidate_points(
-                    grid, rows[s : s + cell_chunk], cols[s : s + cell_chunk], sub
-                )
-                for s in range(0, rows.size, cell_chunk)
-            ]
-            px = np.concatenate([p[0] for p in parts])
-            py = np.concatenate([p[1] for p in parts])
-        else:
-            px, py = self._candidate_points(grid, rows, cols, sub)
+        px, py = self._candidate_points(grid, rows, cols, sub)
         st.candidate_points_evaluated += px.size
         # Chunk so the (points x active) coverage matrix stays small.
         chunk = max(1, 4_000_000 // max(1, sub.n))
@@ -588,20 +636,57 @@ class DSSearchEngine:
         products of the interval midpoints (cell borders included as cut
         ends, duplicate edges deduplicated, matching the open-face
         midpoint convention shared with the brute-force oracles).  The
-        whole batch is computed with ragged-array arithmetic -- boolean
-        ``(cells, 2·active)`` crossing masks per axis, then one sort of
+        whole batch is computed with ragged-array arithmetic -- each
+        edge bucketed into the one grid column (row) whose interior
+        holds it, each cell paired with its column's (row's) edges, the
+        pairs whose rectangle misses the cell dropped, then one sort of
         the crossing (cell, edge) pairs -- because a per-cell Python
         loop here was the single largest slice of the search runtime.
+        Only a cell's own column can hold an edge strictly inside it,
+        so the pairs are the dense ``(cells, 2·active)`` crossing masks'
+        nonzeros, in the same order.
         """
+        m = sub.n
+        gxs, gys = grid.xs, grid.ys
+        lox, hix = gxs[cols], gxs[cols + 1]
+        loy, hiy = gys[rows], gys[rows + 1]
 
-        def axis_mids(values: np.ndarray, sel: np.ndarray, lo: np.ndarray,
+        def crossing(borders: np.ndarray, values: np.ndarray, lines: np.ndarray):
+            # borders: the grid boundaries of one axis; values: (2m,)
+            # edge coordinates (minima, then maxima); lines: (k,) each
+            # cell's column (row).  Returns the (cell, cut) pairs of the
+            # edges strictly inside a cell whose rectangle overlaps it,
+            # cell-major and by edge index within a cell.
+            n_lines = borders.size - 1
+            line = borders.searchsorted(values, side="right") - 1
+            np.maximum(line, 0, out=line)
+            np.minimum(line, n_lines - 1, out=line)
+            held = np.zeros(n_lines, dtype=bool)
+            held[lines] = True
+            edge = np.flatnonzero(
+                held[line] & (borders[line] < values) & (values < borders[line + 1])
+            )
+            line = line[edge]
+            edge = edge[np.argsort(line, kind="stable")]
+            count = np.bincount(line, minlength=n_lines)
+            per = count[lines]
+            first = (np.cumsum(count) - count)[lines]
+            cell = np.repeat(np.arange(lines.size), per)
+            edge = edge[np.repeat(first, per) + _ragged_arange(per)]
+            rect = np.where(edge < m, edge, edge - m)
+            ov = (
+                (sub.x_min[rect] < hix[cell])
+                & (lox[cell] < sub.x_max[rect])
+                & (sub.y_min[rect] < hiy[cell])
+                & (loy[cell] < sub.y_max[rect])
+            )
+            return cell[ov], values[edge[ov]]
+
+        def axis_mids(cell: np.ndarray, cut: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray):
-            # values: (2m,) edge coordinates; sel: (k, 2m) edges strictly
-            # inside each cell; lo/hi: (k,) cell borders.  Returns the
-            # midpoints of all cells, cell by cell, each cell's count
-            # and each cell's offset into them.
-            cell, edge = np.nonzero(sel)
-            cut = values[edge]
+            # cell/cut: the crossing pairs; lo/hi: (k,) cell borders.
+            # Returns the midpoints of all cells, cell by cell, each
+            # cell's count and each cell's offset into them.
             order = np.lexsort((cut, cell))
             cell, cut = cell[order], cut[order]
             # One cut per distinct coordinate of a cell (0.0 == -0.0:
@@ -626,29 +711,10 @@ class DSSearchEngine:
             mids *= 0.5
             return mids, counts, starts
 
-        gxs, gys = grid.xs, grid.ys
         ex = np.concatenate([sub.x_min, sub.x_max])
         ey = np.concatenate([sub.y_min, sub.y_max])
-        lox, hix = gxs[cols], gxs[cols + 1]
-        loy, hiy = gys[rows], gys[rows + 1]
-        # Rectangles overlapping each cell, then their edges strictly
-        # inside the cell, all as (cells, 2·active) masks.
-        xov = (sub.x_min[np.newaxis, :] < hix[:, np.newaxis]) & (
-            lox[:, np.newaxis] < sub.x_max[np.newaxis, :]
-        )
-        yov = (sub.y_min[np.newaxis, :] < hiy[:, np.newaxis]) & (
-            loy[:, np.newaxis] < sub.y_max[np.newaxis, :]
-        )
-        ov = xov & yov
-        ov2 = np.concatenate([ov, ov], axis=1)
-        in_x = ov2 & (ex[np.newaxis, :] > lox[:, np.newaxis]) & (
-            ex[np.newaxis, :] < hix[:, np.newaxis]
-        )
-        in_y = ov2 & (ey[np.newaxis, :] > loy[:, np.newaxis]) & (
-            ey[np.newaxis, :] < hiy[:, np.newaxis]
-        )
-        mx, nx, sx = axis_mids(ex, in_x, lox, hix)
-        my, ny, _ = axis_mids(ey, in_y, loy, hiy)
+        mx, nx, sx = axis_mids(*crossing(gxs, ex, cols), lox, hix)
+        my, ny, _ = axis_mids(*crossing(gys, ey, rows), loy, hiy)
 
         # Ragged cross product: cell c contributes nx[c]·ny[c] points,
         # x-major within each y (tile xs per y, repeat each y nx times).

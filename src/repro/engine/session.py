@@ -19,9 +19,9 @@ those artefacts (DESIGN.md §7):
 * the ASP :class:`~repro.asp.rectset.RectSet` and its GPS accuracy per
   ``(width, height, anchor)``;
 * the empty representation per aggregator;
-* the candidate-lattice interval bounds and the level-0 state (active
-  set + root grid accumulation) of every searched lattice cell, per
-  ``(width, height, aggregator)``;
+* the candidate-lattice interval bounds per ``(width, height,
+  aggregator)``, and in the same key the space memo: the active set and
+  target-independent visit of every space the search processed;
 * one shared :class:`~repro.dssearch.grid.BufferPool` of grid scratch
   buffers.
 
@@ -181,8 +181,8 @@ class QuerySession:
         self._lattice_geometry: Dict[Tuple[float, float], tuple] = {}
         # The space memo (DESIGN.md §7.1): per (width, height,
         # compiler), a dict from (root, x_min, y_min, x_max, y_max) to
-        # the space's (active, accumulation), filled by every engine
-        # this session assembles.
+        # the space's (active, visit), filled by every engine this
+        # session assembles.
         self._spaces: Dict[Tuple[float, float, int], dict] = {}
         # Concurrency (DESIGN.md §8.1): the index gets a dedicated lock
         # (its build is the one expensive single-shot artefact); every
@@ -736,10 +736,10 @@ class QuerySession:
             total += sum(arr_bytes(arr) for arr in over_ranges)
             total += sum(arr_bytes(arr) for arr in full_ranges)
         for memo in list(self._spaces.values()):
-            for active, acc in list(memo.values()):
+            for active, visit in list(memo.values()):
                 total += active.nbytes
-                if acc is not None:
-                    total += acc.full.nbytes + acc.over.nbytes + acc.dirty.nbytes
+                if visit is not None:
+                    total += visit.nbytes
         return total
 
     def __repr__(self) -> str:

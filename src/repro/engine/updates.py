@@ -390,8 +390,8 @@ def _derive(session, batch: UpdateBatch) -> _Update:
         changed_rects[(width, height, anchor)] = np.concatenate(changed, axis=1)
 
     # Memoized spaces: keep entries whose key rectangle no changed
-    # rectangle overlaps (their active set and accumulation are bitwise
-    # the cold ones); renumber active indices after deletes.  Moved
+    # rectangle overlaps (their active set and visit are bitwise the
+    # cold ones); renumber active indices after deletes.  Moved
     # bounds move every GI-DS cell and canonical piece (the index
     # rebuilds cold), so they drop the memo whole.
     new_spaces: dict = {}
@@ -458,8 +458,10 @@ def _surviving_entries(
     A key is ``(root, x_min, y_min, x_max, y_max)``; an entry survives
     when no changed rectangle's open interior meets its key rectangle
     (the test of :meth:`~repro.asp.rectset.RectSet.overlap_mask`), so
-    every rectangle of its active set is unchanged.  ``new_of_old``
-    (``None`` when no row was deleted) renumbers the active indices.
+    every rectangle of its active set, with its weights and values, is
+    unchanged, and so is the visit derived from them; the visit holds
+    no row index and is carried as it is.  ``new_of_old`` (``None``
+    when no row was deleted) renumbers the active indices.
     """
     if not memo:
         return {}
@@ -478,8 +480,9 @@ def _surviving_entries(
     for key, overlapped in zip(keys, hit.tolist()):
         if overlapped:
             continue
-        active, acc = memo[key]
+        active, visit = memo[key]
         if new_of_old is not None:
             active = new_of_old[active]
-        surviving[key] = (active, acc)
+            active.setflags(write=False)
+        surviving[key] = (active, visit)
     return surviving

@@ -241,7 +241,9 @@ def gi_ds_search(
     (Section 6): the answer is within ``(1 + delta)`` of optimal.
     ``probe_cells`` warm-starts the incumbent by exactly evaluating the
     center points of the most promising candidate cells, so the first
-    drilled cells already face a competitive pruning threshold.
+    drilled cells already face a competitive pruning threshold.  The
+    probes are evaluated in chunks of at most 4,000,000 cover entries
+    (the default 16 is one chunk up to n = 250,000).
 
     The keyword-only ``engine`` / ``channel_tables`` / ``bound_context``
     parameters are the warm path used by
@@ -250,6 +252,8 @@ def gi_ds_search(
     its memoized suffix table, so repeat queries skip every per-dataset
     precomputation.
     """
+    if probe_cells < 0:
+        raise ValueError(f"probe_cells must be non-negative, got {probe_cells}")
     if engine is None:
         engine = DSSearchEngine(dataset, query, settings, delta=delta)
     stats = GIDSStats()
@@ -282,8 +286,12 @@ def gi_ds_search(
         top = np.argpartition(lbs, k - 1)[:k]
         px = x0[top] + cw / 2.0
         py = y0[top] + ch / 2.0
-        dists = points_distances(query, engine.compiler, engine.rects, px, py)
-        engine.offer_batch(px, py, dists)
+        # Chunk so the (probes x n) coverage matrix stays small.
+        chunk = max(1, 4_000_000 // max(1, engine.rects.n))
+        for start in range(0, k, chunk):
+            bx, by = px[start : start + chunk], py[start : start + chunk]
+            dists = points_distances(query, engine.compiler, engine.rects, bx, by)
+            engine.offer_batch(bx, by, dists)
 
     # Frontier: cell bounds never change once computed, so a single
     # ascending argsort visits cells in exactly the order a min-heap
@@ -301,7 +309,7 @@ def gi_ds_search(
             break
         cx0, cy0 = float(x0[i]), float(y0[i])
         cell = Rect(cx0, cy0, cx0 + cw, cy0 + ch)
-        # A cell's active set and accumulation are target-independent:
+        # A cell's active set and visit are target-independent:
         # a session's engine serves them from its space memo (DESIGN.md
         # §7.1), which also remembers the cells no rectangle overlaps.
         active = engine.root_active(cell)

@@ -18,8 +18,9 @@ stable ``to_dict()`` / ``from_dict()`` JSON codec (DESIGN.md §11.2):
   :class:`CompactResult` / :class:`OpenResult` -- structured outcomes
   of the mutation and durability operations.
 
-The codec is strict JSON: non-finite floats -- legal scores when a
-target is unreachable, and legal targets -- are encoded as the sentinel
+The codec is strict JSON: non-finite floats -- legal in scores,
+representations and stats, though a :class:`QueryRequest` refuses them
+in its target, weights and ``delta`` -- are encoded as the sentinel
 strings ``"NaN"`` / ``"Infinity"`` / ``"-Infinity"`` rather than
 relying on ``json.dumps(allow_nan=True)``'s non-standard literals, so
 any JSON parser (the HTTP frontend's clients included) can round-trip
@@ -281,12 +282,25 @@ class QueryRequest:
             raise ValueError(f"method must be 'gids' or 'ds', got {self.method!r}")
         if self.topk < 1:
             raise ValueError("topk must be >= 1")
+        # probe_cells sizes one (probes x n) cover matrix; delta and the
+        # target reach every prune comparison, where NaN is never true.
+        probes = self.probe_cells
+        if isinstance(probes, bool) or not isinstance(probes, (int, np.integer)):
+            raise ValueError(f"probe_cells must be an integer, got {probes!r}")
+        if probes < 0:
+            raise ValueError(f"probe_cells must be >= 0, got {probes}")
+        if math.isnan(self.delta) or self.delta < 0:
+            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "target", tuple(float(v) for v in self.target))
         if self.weights is not None:
             object.__setattr__(
                 self, "weights", tuple(float(v) for v in self.weights)
             )
+        for name in ("target", "weights"):
+            values = getattr(self, name) or ()
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} entries must be finite, got {values!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -212,6 +212,81 @@ class TestPass2RankDedupe:
         )
 
 
+class _MaskKeyed:
+    """The verified-set memo keyed by packed membership bytes alone: one
+    O(n) mask per lookup, as before the coordinate-rank key."""
+
+    def _verify_once(self, x, y):
+        region = region_for_point(x, y, self.query.width, self.query.height)
+        mask = self.dataset.mask_in_region(region)
+        key = np.packbits(mask).tobytes()
+        verified = self._verified.get(key)
+        if verified is not None:
+            return verified, False
+        verified = self._verified[key] = self.true_distance(x, y, mask)
+        return verified, True
+
+
+class _MaskKeyedEngine(_MaskKeyed, DSSearchEngine):
+    pass
+
+
+class _MaskKeyedCollector(_MaskKeyed, _MemoOnlyCollector):
+    pass
+
+
+def _counting_masks(ds):
+    """Count ``ds.mask_in_region`` calls from now on."""
+    calls = [0]
+    build = ds.mask_in_region
+
+    def counted(region):
+        calls[0] += 1
+        return build(region)
+
+    ds.mask_in_region = counted
+    return calls
+
+
+class TestVerifyRankKey:
+    """``_verify_once`` looks a candidate up by coordinate rank before it
+    builds a mask: the verifications, the incumbents and the recorded
+    anchors stay those of the mask-keyed memo, with fewer masks."""
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_same_verifications_and_anchors_as_the_mask_key(self, seed):
+        ds, query = _plateau(seed)
+        masks = _counting_masks(ds)
+        engine, reference = DSSearchEngine(ds, query), _MaskKeyedEngine(ds, query)
+        dstar = run_pass1(engine)
+        assert run_pass1(reference) == dstar
+        assert engine.best_point == reference.best_point
+        assert (
+            engine.stats.verified_candidates == reference.stats.verified_candidates
+        )
+        for fast, slow in (
+            (TieCollectingEngine(ds, query), _MaskKeyedCollector(ds, query)),
+            (_MemoOnlyCollector(ds, query), _MaskKeyedCollector(ds, query)),
+        ):
+            masks[0] = 0
+            tied = run_pass2(fast, dstar)
+            fast_masks, masks[0] = masks[0], 0
+            assert run_pass2(slow, dstar) == tied
+            assert fast.stats.verified_candidates == slow.stats.verified_candidates
+            assert fast_masks < masks[0]
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_gids_answers_and_counts_unchanged(self, seed):
+        from repro.index import gi_ds_search
+
+        ds, query = _plateau(seed)
+        runs = []
+        for engine in (DSSearchEngine(ds, query), _MaskKeyedEngine(ds, query)):
+            result = gi_ds_search(ds, query, granularity=(6, 6), engine=engine)
+            runs.append((_key(result), engine.best_point, engine.stats.verified_candidates))
+        assert runs[0] == runs[1]
+
+
 class TestPass2VerifiesEachSetOnce:
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_one_verification_per_distinct_covered_set(self, seed):

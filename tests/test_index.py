@@ -203,6 +203,34 @@ class TestGIDS:
             agg.empty_representation(ds)
         )
 
+    def test_huge_probe_count_evaluates_in_bounded_chunks(self):
+        """``probe_cells`` past the lattice size probes every lattice
+        cell, in chunks of at most 4,000,000 cover entries: on tweets
+        2,000 (8,100 lattice cells) one batch would allocate a
+        16.2 M-entry cover matrix and its 130 MB float copy."""
+        import tracemalloc
+
+        from repro.data import generate_tweet_dataset
+        from repro.data.tweets import weekend_query
+        from repro.engine import QuerySession
+        from repro.experiments.datasets import paper_query_size
+
+        ds = generate_tweet_dataset(2_000, seed=7)
+        query = weekend_query(ds, *paper_query_size(ds, 10))
+        session = QuerySession(ds)
+        want, stats = session.solve(query, return_stats=True)
+        assert stats.total_cells * ds.n > 3 * 4_000_000
+        tracemalloc.start()
+        try:
+            got = session.solve(query, probe_cells=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.distance == want.distance
+        assert peak < 64 * 2**20
+        with pytest.raises(ValueError, match="probe_cells"):
+            gi_ds_search(ds, query, probe_cells=-1)
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -168,6 +168,45 @@ class TestEndpoints:
         assert err.value.code == 400
 
 
+#: Numbers a query cannot be served with: a negative or non-integer
+#: probe count (one huge cover matrix), a NaN or negative delta (every
+#: prune comparison false) and non-finite targets or weights.
+_UNSERVABLE = [
+    ("probe_cells", -1),
+    ("probe_cells", -5),
+    ("probe_cells", True),
+    ("probe_cells", 2.5),
+    ("probe_cells", "16"),
+    ("delta", "NaN"),
+    ("delta", -0.5),
+    ("target", "NaN"),
+    ("target", "Infinity"),
+    ("weights", "NaN"),
+    ("weights", "-Infinity"),
+]
+
+
+class TestRequestBoundary:
+    @pytest.mark.parametrize("field, value", _UNSERVABLE)
+    def test_unservable_numbers_are_refused(self, http_service, field, value):
+        base, service, ds = http_service
+        payload = _query_payload(ds)
+        if field in ("target", "weights"):
+            entries = [1.0] * len(payload["target"])
+            entries[1] = value
+            payload[field] = entries
+        else:
+            payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            service.query(QueryRequest.from_dict(payload))
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(base, "/query", payload)
+        assert err.value.code == 400
+        assert field in json.loads(err.value.read().decode())["error"]
+        # The server still answers the same query without the bad value.
+        assert "region" in _post(base, "/query", _query_payload(ds))
+
+
 class TestReadOnlyReplica:
     def test_update_forbidden(self, tmp_path):
         rng = np.random.default_rng(61)

@@ -151,7 +151,7 @@ class TestRequestCodecs:
             terms=("fD:category", "fA:price@category=Apartment"),
             width=0.5,
             height=0.25,
-            target=(1.0, 2.0, math.inf),
+            target=(1.0, 2.0, 1e300),
             weights=(0.5, 0.5, 0.0),
             method="ds",
             delta=0.125,

@@ -2,8 +2,8 @@
 
 Every space a session's engines process -- GI-DS cells, canonical
 pieces and their split children -- leaves its target-independent
-``(active, accumulation)`` in one memo per query shape.  The memo may
-change where an accumulation comes from, never an answer: these tests
+``(active, visit)`` in one memo per query shape.  The memo may change
+where a visit comes from, never an answer: these tests
 hold memoized solves bitwise to memo-free cold calls on datasets drawn
 against the float surface (snapped coordinates, duplicates, points one
 ulp off grid borders and rectangle edges, collinear runs), check that
@@ -18,11 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asp.reduction import reduce_to_asp
-from repro.core import ASRSQuery, Rect, SpatialDataset
+from repro.core import (
+    ASRSQuery,
+    AverageAggregator,
+    CompositeAggregator,
+    Rect,
+    SelectAll,
+    SpatialDataset,
+    SumAggregator,
+)
 from repro.dssearch import SearchSettings, canonical, ds_search
 from repro.dssearch.canonical import TieCollectingEngine
-from repro.dssearch.grid import DiscretizationGrid, GridAccumulation
-from repro.dssearch.search import DSSearchEngine
+from repro.dssearch.grid import DiscretizationGrid
+from repro.dssearch.search import CELL_CACHE_CAP, DSSearchEngine, SpaceVisit
 from repro.engine import QuerySession
 from repro.engine.updates import UpdateBatch
 from repro.index import gi_ds_search
@@ -188,8 +196,9 @@ class TestValidation:
         """A child entry is served only for the active set it holds.
 
         Every child entry of the shape is replaced by a poisoned one --
-        one active index short, with sums that call every cell clean --
-        so using any of them would change the answer."""
+        one active index short, with a visit that calls every cell
+        clean at the empty representation -- so using any of them would
+        change the answer."""
         dataset, (query, _) = _instance(n=300)
         cold = ds_search(dataset, query, SMALL)
         session = QuerySession(dataset, settings=SMALL)
@@ -198,14 +207,18 @@ class TestValidation:
         children = [key for key in memo if not key[0]]
         assert children
         poisoned = {}
+        dim = query.aggregator.dim(dataset)
+        none = np.zeros(0, dtype=np.intp)
         for key in children:
-            active, acc = memo[key]
+            active, visit = memo[key]
+            rows = np.concatenate([visit.clean_rows, visit.dirty_rows])
+            cols = np.concatenate([visit.clean_cols, visit.dirty_cols])
+            order = np.lexsort((cols, rows))
             memo[key] = poisoned[key] = (
                 active[:-1],
-                GridAccumulation(
-                    full=np.zeros_like(acc.full),
-                    over=np.zeros_like(acc.over),
-                    dirty=np.zeros_like(acc.dirty),
+                SpaceVisit(
+                    rows[order], cols[order], np.zeros((rows.size, dim)),
+                    none, none, None, None,
                 ),
             )
         result, stats = session.solve(query, method="ds", return_stats=True)
@@ -395,3 +408,146 @@ class TestUpdateSurvival:
             kept += stats.cell_entries_kept
         if not move_bounds:
             assert kept > 0  # in-bounds updates carry entries forward
+
+
+def _f2_aggregator():
+    """The paper's F2 shape over the test schema: a sum and an average,
+    whose Equation-1 intervals read the space's value extremes."""
+    return CompositeAggregator(
+        [SumAggregator("score", SelectAll()), AverageAggregator("score", SelectAll())]
+    )
+
+
+def _fresh_visit(session, query, key, active) -> tuple:
+    """A space's visit derived afresh from ``grid.accumulate``: the clean
+    cells' coordinates and representations, the dirty cells' coordinates
+    and Equation-1 intervals under the space's own bound context."""
+    compiler = session.compiler_for(query.aggregator)
+    rects, _ = session.reduction_for(query.width, query.height)
+    space = Rect(*key[1:])
+    grid = DiscretizationGrid(space, *SMALL.grid_shape(active.size))
+    acc = grid.accumulate(rects, active, compiler.weights)
+    clean = ~acc.dirty
+    rows, cols = np.nonzero(clean)
+    dirty_rows, dirty_cols = np.nonzero(acc.dirty)
+    reps = lo = hi = None
+    if rows.size:
+        reps = compiler.rep_from_sums(acc.full[clean])
+    if dirty_rows.size:
+        lo, hi = compiler.bounds_from_sums(
+            acc.full[dirty_rows, dirty_cols],
+            acc.over[dirty_rows, dirty_cols],
+            compiler.make_context(active),
+        )
+    return rows, cols, reps, dirty_rows, dirty_cols, lo, hi
+
+
+def _assert_visits_fresh(session, query) -> int:
+    """Every memo entry of the query's shape is bitwise a fresh visit,
+    and read-only; returns how many entries were checked."""
+    compiler = session.compiler_for(query.aggregator)
+    key = (float(query.width), float(query.height), id(compiler))
+    memo = session._spaces.get(key, {})  # moved bounds drop the memo
+    checked = 0
+    for key, (active, visit) in memo.items():
+        assert not active.flags.writeable
+        if visit is None:
+            assert active.size == 0
+            continue
+        want = _fresh_visit(session, query, key, active)
+        for got, expected in zip(visit, want):
+            if expected is None:
+                assert got is None
+                continue
+            assert not got.flags.writeable
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        checked += 1
+    return checked
+
+
+def _visit_case(seed: int, n: int, f2: bool):
+    dataset = _surface_dataset(seed, n)
+    queries = _shape_queries(seed, dataset, count=2)
+    if f2:
+        aggregator = _f2_aggregator()
+        rng = np.random.default_rng(seed + 2)
+        queries = [
+            ASRSQuery.from_vector(
+                q.width, q.height, aggregator, rng.uniform(0.0, 4.0, 2)
+            )
+            for q in queries
+        ]
+    return dataset, queries
+
+
+class TestVisitReplay:
+    """A memo entry holds the space's visit -- everything derived before
+    the target enters -- and a hit replays it bit for bit."""
+
+    def _check(self, seed: int, n: int, f2: bool) -> None:
+        dataset, (query, other) = _visit_case(seed, n, f2)
+        session = QuerySession(dataset, granularity=GRANULARITY, settings=SMALL)
+        for method in ("gids", "ds"):
+            session.solve(query, method=method)
+        session.solve_canonical(query)
+        _, stats = session.solve(other, return_stats=True)
+        again = session.solve(query, method="ds", return_stats=True)[1]
+        # Every visit came from the memo, but for a refused entry or
+        # one a full memo could not take.
+        (memo,) = session._spaces.values()
+        full = len(memo) >= CELL_CACHE_CAP
+        assert again.accumulations == again.memo_mismatches or full
+        checked = _assert_visits_fresh(session, query)
+        if n >= 2:
+            assert checked >= 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 250), f2=st.booleans())
+    def test_memoized_visits_equal_fresh_derivations(self, seed, n, f2):
+        self._check(seed, n, f2)
+
+    @pytest.mark.parametrize(
+        "seed, n, f2",
+        [
+            (0, 1, True),
+            (5, 37, False),
+            (11, 180, True),
+            (17, 250, True),
+            (6829696, 1, False),  # GI-DS fills the memo before run()'s space
+        ],
+    )
+    def test_pinned_visit_cases(self, seed, n, f2):
+        self._check(seed, n, f2)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), move_bounds=st.booleans())
+    def test_survivors_equal_fresh_derivations_on_the_updated_data(
+        self, seed, move_bounds
+    ):
+        for session, queries, _, stats in _update_stream(seed, 3, move_bounds):
+            # Before any solve refills the memo: only carried entries.
+            kept = sum(_assert_visits_fresh(session, q) for q in queries[:1])
+            assert kept <= stats.cell_entries_kept
+
+    def test_pinned_survivor_stream(self):
+        carried = 0
+        for session, queries, _, stats in _update_stream(3, 4, False):
+            carried += _assert_visits_fresh(session, queries[0])
+        assert carried > 0
+
+    def test_cache_nbytes_counts_the_memo_arrays(self):
+        dataset, (query, _) = _visit_case(11, 180, True)
+        session = QuerySession(dataset, granularity=GRANULARITY, settings=SMALL)
+        session.solve(query)
+        session.solve_canonical(query)
+        memo_bytes = 0
+        for memo in session._spaces.values():
+            for active, visit in memo.values():
+                memo_bytes += active.nbytes
+                if visit is not None:
+                    memo_bytes += sum(a.nbytes for a in visit if a is not None)
+        assert memo_bytes > 0
+        total = session.cache_nbytes()
+        session._spaces.clear()
+        assert total - session.cache_nbytes() == memo_bytes
